@@ -770,9 +770,13 @@ class TestbedSim {
   }
 
   /// Moves every completed fetch into the merge+reduce phase. Safe to call
-  /// after any shuffle_ mutation at the current time.
+  /// after any shuffle_ mutation at the current time. Every unretired flow
+  /// belongs to a fetching_ entry, so the scan stops once the model holds
+  /// no complete unretired flow. fetching_'s order fixes the order of the
+  /// kReduceDone schedules and observer calls below.
   void ProcessFetchCompletions() {
-    for (std::size_t i = 0; i < fetching_.size();) {
+    for (std::size_t i = 0;
+         i < fetching_.size() && shuffle_.CompleteUnretiredCount() > 0;) {
       const auto [job_id, index] = fetching_[i];
       JobRuntime& job = *jobs_[job_id];
       ReduceTaskRt& r = job.reduces()[index];

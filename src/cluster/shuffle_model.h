@@ -13,6 +13,14 @@
 // `now`, and NextEventTime() tells the simulator when the earliest flow
 // state change (starvation or completion) will occur if nothing else
 // happens first.
+//
+// Cost. Every active flow runs at the same rate, so the model keeps that
+// one shared rate plus an index of the active flows, and recomputes the
+// rate only when a flow joins or leaves the active set. AddFlow,
+// AddAvailability, Retire, IsComplete and FetchedMb are O(1); Advance and
+// NextEventTime visit only the active flows. Flows that finished or were
+// retired cost nothing after they leave the set, so a call's cost does
+// not grow with how long the run has gone on.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +46,8 @@ class ShuffleModel {
   /// Call Advance(now) first. Availability is clamped to the flow total.
   void AddAvailability(FlowId flow, double mb);
 
-  /// Integrates all flow progress from the last update time to `now` and
-  /// recomputes rates. `now` must be nondecreasing across calls.
+  /// Integrates all active flows from the last update time to `now`.
+  /// `now` must be nondecreasing across calls.
   void Advance(SimTime now);
 
   /// True once the flow has fetched all of its total_mb.
@@ -52,29 +60,42 @@ class ShuffleModel {
   /// kTimeInfinity when no flow is active. Valid after Advance.
   SimTime NextEventTime() const;
 
-  /// Removes a completed flow from bookkeeping (its id stays valid for
-  /// IsComplete queries but it no longer consumes bandwidth).
+  /// Removes a flow from bookkeeping (its id stays valid for IsComplete
+  /// queries but it no longer consumes bandwidth). Retiring a flow that is
+  /// still fetching abandons its transfer.
   void Retire(FlowId flow);
 
-  int ActiveFlowCount() const { return active_count_; }
+  int ActiveFlowCount() const { return static_cast<int>(active_.size()); }
+
+  /// Flows that are complete but not yet retired. While this is zero no
+  /// flow awaits the caller's completion handling.
+  int CompleteUnretiredCount() const { return complete_unretired_; }
 
  private:
   struct Flow {
     double total_mb = 0.0;
     double available_mb = 0.0;
     double fetched_mb = 0.0;
-    double rate = 0.0;  // MB/s as of the last recompute
     bool retired = false;
+    std::int32_t active_slot = -1;  // index into active_, -1 when inactive
   };
 
-  void RecomputeRates();
   bool FlowActive(const Flow& f) const;
+  bool FlowComplete(const Flow& f) const;
+  /// Brings flow `id`'s membership in the active set in line with its
+  /// state, recomputing the shared rate when it changes.
+  void SyncActive(FlowId id);
+  /// Removes the flow at active_[slot]; the last active flow takes its slot.
+  void RemoveActiveAt(std::size_t slot);
+  void RecomputeRate();
 
   double aggregate_bw_;
   double per_flow_cap_;
   std::vector<Flow> flows_;
+  std::vector<FlowId> active_;
+  double rate_ = 0.0;  // MB/s of every active flow
   SimTime last_update_ = 0.0;
-  int active_count_ = 0;
+  int complete_unretired_ = 0;
 };
 
 }  // namespace simmr::cluster

@@ -90,6 +90,8 @@ const char* CounterName(Counter counter) {
       return "explore_choice_points";
     case Counter::kExplorePruned:
       return "explore_pruned";
+    case Counter::kShuffleFlowVisits:
+      return "shuffle_flow_visits";
     case Counter::kCount_:
       break;
   }

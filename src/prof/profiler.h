@@ -41,6 +41,8 @@ enum class Counter : int {
   kExploreExecutions,     // model checker: schedules executed (mc/explorer)
   kExploreChoicePoints,   // model checker: tie points encountered
   kExplorePruned,         // model checker: transitions skipped by sleep sets
+  kShuffleFlowVisits,     // testbed shuffle: flows read by Advance and
+                          // NextEventTime (cluster/shuffle_model)
   kCount_,
 };
 

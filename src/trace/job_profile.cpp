@@ -1,10 +1,13 @@
 #include "trace/job_profile.h"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace simmr::trace {
 namespace {
@@ -25,22 +28,81 @@ void WriteArray(std::ostream& out, const char* tag,
   out << '\n';
 }
 
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+
+/// Whitespace-separated tokens of one line, in order.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+  /// The next token, or an empty view at the end of the line.
+  std::string_view Next() {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && IsSpace(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !IsSpace(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// Parses a whole token as a number. Rejects trailing characters
+/// ("263abc"), a leading '+', out-of-range and non-finite values, and a
+/// '-' on an unsigned T.
+template <typename T>
+T ParseNumber(std::string_view token, const char* what) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok)
+    throw std::runtime_error(std::string("JobProfile: bad ") + what + " '" +
+                             std::string(token) + "'");
+  return value;
+}
+
+/// Throws unless nothing but whitespace is left on the line.
+void ExpectLineEnd(Tokens& tokens, const std::string& line, const char* tag) {
+  const std::string_view extra = tokens.Next();
+  if (!extra.empty())
+    throw std::runtime_error(std::string("JobProfile: trailing token '") +
+                             std::string(extra) + "' after " + tag + " in '" +
+                             line + "'");
+}
+
 std::vector<double> ReadArray(std::istream& in, const char* tag) {
   std::string line;
   if (!std::getline(in, line))
     throw std::runtime_error(std::string("JobProfile: missing array ") + tag);
-  std::istringstream ls(line);
-  std::string seen_tag;
-  std::size_t count = 0;
-  if (!(ls >> seen_tag >> count) || seen_tag != tag)
+  Tokens tokens(line);
+  const std::string_view seen_tag = tokens.Next();
+  const std::string_view count_token = tokens.Next();
+  if (seen_tag != tag || count_token.empty())
     throw std::runtime_error(std::string("JobProfile: expected array ") + tag +
                              ", got '" + line + "'");
+  const auto count = ParseNumber<std::size_t>(count_token, "array count");
+  const auto truncated = [tag, count] {
+    return std::runtime_error(std::string("JobProfile: truncated array ") +
+                              tag + " (declares " + std::to_string(count) +
+                              " values)");
+  };
+  // Every value takes a character and a separator, so a count above half
+  // the line's length cannot be met: fail before allocating for it.
+  if (count > line.size() / 2) throw truncated();
   std::vector<double> values(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(ls >> values[i]))
-      throw std::runtime_error(std::string("JobProfile: truncated array ") +
-                               tag);
+  for (double& value : values) {
+    const std::string_view token = tokens.Next();
+    if (token.empty()) throw truncated();
+    value = ParseNumber<double>(token, tag);
   }
+  ExpectLineEnd(tokens, line, tag);
   return values;
 }
 
@@ -89,24 +151,29 @@ JobProfile JobProfile::Read(std::istream& in) {
   if (!std::getline(in, line) || line != kMagic)
     throw std::runtime_error("JobProfile: bad or missing magic header");
   JobProfile p;
-  const auto read_field = [&in](const char* tag) {
+  // `whole_line` rejects anything after the value; the name fields keep
+  // their historical first-token reading.
+  const auto read_field = [&in](const char* tag, bool whole_line) {
     std::string field_line;
     if (!std::getline(in, field_line))
       throw std::runtime_error(std::string("JobProfile: missing field ") +
                                tag);
-    std::istringstream ls(field_line);
-    std::string seen_tag, value;
-    if (!(ls >> seen_tag >> value) || seen_tag != tag)
+    Tokens tokens(field_line);
+    const std::string_view seen_tag = tokens.Next();
+    const std::string_view value = tokens.Next();
+    if (seen_tag != tag || value.empty())
       throw std::runtime_error(std::string("JobProfile: expected field ") +
                                tag);
-    return value;
+    if (whole_line) ExpectLineEnd(tokens, field_line, tag);
+    return std::string(value);
   };
-  p.app_name = read_field("app");
+  p.app_name = read_field("app", false);
   if (p.app_name == "-") p.app_name.clear();
-  p.dataset = read_field("dataset");
+  p.dataset = read_field("dataset", false);
   if (p.dataset == "-") p.dataset.clear();
-  p.num_maps = std::stoi(read_field("num_maps"));
-  p.num_reduces = std::stoi(read_field("num_reduces"));
+  p.num_maps = ParseNumber<int>(read_field("num_maps", true), "num_maps");
+  p.num_reduces =
+      ParseNumber<int>(read_field("num_reduces", true), "num_reduces");
   p.map_durations = ReadArray(in, "map_durations");
   p.first_shuffle_durations = ReadArray(in, "first_shuffle_durations");
   p.typical_shuffle_durations = ReadArray(in, "typical_shuffle_durations");

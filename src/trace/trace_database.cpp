@@ -90,7 +90,16 @@ TraceDatabase TraceDatabase::Load(const std::string& directory) {
     if (!in)
       throw std::runtime_error("TraceDatabase::Load: missing profile file " +
                                file_name);
-    db.Put(JobProfile::Read(in));
+    // Name the file in parse and validation errors, keeping their types.
+    try {
+      db.Put(JobProfile::Read(in));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("TraceDatabase::Load: " + file_name + ": " +
+                               e.what());
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("TraceDatabase::Load: " + file_name + ": " +
+                                  e.what());
+    }
   }
   return db;
 }

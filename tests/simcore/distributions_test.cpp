@@ -18,6 +18,13 @@ struct DistCase {
   double variance_tol;  // relative tolerance on the variance
 };
 
+// gtest_discover_tests builds each ctest name from the printed param. With
+// no printer gtest dumps the struct's raw bytes, heap pointers included, so
+// ASLR renamed these cases on every build. Printing the family name gives
+// stable names such as
+// "AllFamilies/DistributionMoments.SampleMeanMatchesTheory/normal".
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributionMoments : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistributionMoments, SampleMeanMatchesTheory) {
@@ -84,10 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{"gamma_small_shape", std::make_shared<GammaDist>(0.5, 1.0),
                  0.03, 0.08},
         DistCase{"pareto", std::make_shared<ParetoDist>(1.0, 4.0), 0.02,
-                 0.30}),
-    [](const ::testing::TestParamInfo<DistCase>& param_info) {
-      return param_info.param.name;
-    });
+                 0.30}));
 
 TEST(DeterministicDist, AlwaysReturnsValue) {
   DeterministicDist d(3.5);

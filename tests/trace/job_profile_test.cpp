@@ -117,6 +117,63 @@ TEST(JobProfile, ReadRejectsTruncatedArray) {
   EXPECT_THROW(JobProfile::Read(buffer), std::runtime_error);
 }
 
+/// A valid profile text with one line replaced.
+std::string ProfileTextWith(const std::string& from, const std::string& to) {
+  std::stringstream buffer;
+  SampleProfile().Write(buffer);
+  std::string text = buffer.str();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// The message JobProfile::Read throws for `text`, or "" when it loads.
+std::string ReadError(const std::string& text) {
+  std::stringstream buffer(text);
+  try {
+    JobProfile::Read(buffer);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JobProfile, ReadRejectsTrailingCharactersInNumbers) {
+  EXPECT_NE(ReadError(ProfileTextWith("num_maps 3\n", "num_maps 263abc\n"))
+                .find("bad num_maps '263abc'"),
+            std::string::npos);
+  // The same rule holds for array values, the last one included.
+  EXPECT_NE(ReadError(ProfileTextWith("map_durations 3 10 11.5 9.25\n",
+                                      "map_durations 3 10 11.5 9.25x\n"))
+                .find("bad map_durations '9.25x'"),
+            std::string::npos);
+}
+
+TEST(JobProfile, ReadRejectsTrailingTokens) {
+  EXPECT_NE(
+      ReadError(ProfileTextWith("num_reduces 2\n", "num_reduces 33 99\n"))
+          .find("trailing token '99'"),
+      std::string::npos);
+  // The same rule holds on array lines.
+  EXPECT_NE(ReadError(ProfileTextWith("reduce_durations 2 2 2.5\n",
+                                      "reduce_durations 2 2 2.5 7\n"))
+                .find("trailing token '7'"),
+            std::string::npos);
+}
+
+TEST(JobProfile, ReadRejectsHugeArrayCountWithoutAllocating) {
+  // Both counts would throw length_error or allocate ~8 GB if honored
+  // before reading the values.
+  for (const char* count : {"2305843009213693951", "1000000000"}) {
+    SCOPED_TRACE(count);
+    EXPECT_NE(ReadError(ProfileTextWith("map_durations 3 ",
+                                        std::string("map_durations ") +
+                                            count + " "))
+                  .find("truncated array map_durations"),
+              std::string::npos);
+  }
+}
+
 TEST(JobProfile, ReadRejectsWrongFieldOrder) {
   std::stringstream buffer(
       "SIMMR-PROFILE-V1\ndataset D\napp A\nnum_maps 1\nnum_reduces 0\n");

@@ -125,6 +125,31 @@ TEST_F(TraceDatabaseTest, LoadMissingProfileFileThrows) {
   EXPECT_THROW(TraceDatabase::Load(dir_.string()), std::runtime_error);
 }
 
+TEST_F(TraceDatabaseTest, LoadErrorNamesTheProfileFile) {
+  TraceDatabase db;
+  db.Put(Profile("A", "1"));
+  db.Put(Profile("B", "2"));
+  db.Save(dir_.string());
+  std::string text;
+  {
+    std::ifstream in(dir_ / "profile_1.trace");
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t at = text.find("num_maps 2");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 10, "num_maps 2x");
+  std::ofstream(dir_ / "profile_1.trace") << text;
+  try {
+    TraceDatabase::Load(dir_.string());
+    FAIL() << "a malformed profile loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("profile_1.trace: JobProfile: bad "
+                                         "num_maps '2x'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(TraceDatabaseTest, EmptyDatabaseRoundTrips) {
   TraceDatabase db;
   db.Save(dir_.string());
