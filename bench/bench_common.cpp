@@ -1,77 +1,10 @@
 #include "bench_common.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
-#include <random>
-
-#include "obs/json.h"
-#include "obs/telemetry.h"
 
 namespace simmr::bench {
-namespace {
-
-// Exit-telemetry state, armed by PrintHeader (bench binaries are
-// single-threaded, one exhibit per process).
-std::string g_exhibit;                              // NOLINT
-std::chrono::steady_clock::time_point g_wall_start;  // NOLINT
-std::uint64_t g_telemetry_events = 0;                // NOLINT
-std::map<std::string, SampleStats>& RecordedStats() {
-  // Intentionally leaked: the atexit telemetry handler (registered in
-  // PrintHeader, typically before the first RecordStat) reads this map
-  // during exit; a function-local static constructed after that
-  // registration would already be destroyed by then.
-  static auto* stats = new std::map<std::string, SampleStats>();  // NOLINT
-  return *stats;
-}
-
-std::string StatsJson(const SampleStats& s) {
-  return "{\"n\":" + std::to_string(s.n) +
-         ",\"median\":" + obs::JsonNumber(s.median) +
-         ",\"mad\":" + obs::JsonNumber(s.mad) +
-         ",\"ci95_lo\":" + obs::JsonNumber(s.ci95_lo) +
-         ",\"ci95_hi\":" + obs::JsonNumber(s.ci95_hi) +
-         ",\"min\":" + obs::JsonNumber(s.min) +
-         ",\"max\":" + obs::JsonNumber(s.max) + "}";
-}
-
-void EmitTelemetryLine() {
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    g_wall_start)
-          .count();
-  const obs::RunTelemetry telemetry = obs::MakeRunTelemetry(
-      "bench", g_exhibit, wall_seconds, g_telemetry_events, /*jobs=*/0,
-      /*makespan_s=*/0.0);
-  std::string json = telemetry.ToJson();
-  if (!RecordedStats().empty()) {
-    // Additive extension of the telemetry object: consumers that only
-    // know simmr.telemetry.v1 keep parsing, perf-diff reads the CIs.
-    json.pop_back();  // drop closing '}'
-    json += ",\"stats\":{";
-    bool first = true;
-    for (const auto& [name, stats] : RecordedStats()) {
-      if (!first) json += ",";
-      first = false;
-      json += "\"" + obs::JsonEscape(name) + "\":" + StatsJson(stats);
-    }
-    json += "}}";
-  }
-  std::printf("\n%s\n", json.c_str());
-}
-
-double MedianOfSorted(const std::vector<double>& sorted) {
-  const std::size_t n = sorted.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? sorted[n / 2]
-                    : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
-
-}  // namespace
 
 std::uint64_t EnvOrDefault(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
@@ -85,75 +18,12 @@ std::uint64_t EnvOrDefault(const char* name, std::uint64_t fallback) {
   return parsed;
 }
 
-SampleStats Summarize(std::vector<double> samples) {
-  SampleStats stats;
-  stats.n = samples.size();
-  if (samples.empty()) return stats;
-  std::sort(samples.begin(), samples.end());
-  stats.min = samples.front();
-  stats.max = samples.back();
-  stats.median = MedianOfSorted(samples);
-
-  std::vector<double> deviations;
-  deviations.reserve(samples.size());
-  for (const double s : samples) deviations.push_back(std::abs(s - stats.median));
-  std::sort(deviations.begin(), deviations.end());
-  stats.mad = MedianOfSorted(deviations);
-
-  // Seeded bootstrap of the median: resample-with-replacement B times and
-  // take the 2.5/97.5 percentiles. Deterministic so two runs of the same
-  // samples produce the same interval (the perf gate diffs these).
-  constexpr int kResamples = 200;
-  std::mt19937_64 rng(0x51A7B007);  // fixed: stats must be reproducible
-  std::uniform_int_distribution<std::size_t> pick(0, samples.size() - 1);
-  std::vector<double> medians;
-  medians.reserve(kResamples);
-  std::vector<double> resample(samples.size());
-  for (int b = 0; b < kResamples; ++b) {
-    for (double& slot : resample) slot = samples[pick(rng)];
-    std::sort(resample.begin(), resample.end());
-    medians.push_back(MedianOfSorted(resample));
-  }
-  std::sort(medians.begin(), medians.end());
-  stats.ci95_lo = medians[static_cast<std::size_t>(0.025 * kResamples)];
-  stats.ci95_hi = medians[static_cast<std::size_t>(0.975 * kResamples) - 1];
-  return stats;
-}
-
-SampleStats MeasureRepeated(int warmup, int runs,
-                            const std::function<void()>& fn) {
-  for (int i = 0; i < warmup; ++i) fn();
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs > 0 ? runs : 0));
-  for (int i = 0; i < runs; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    samples.push_back(std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-  }
-  return Summarize(std::move(samples));
-}
-
-void RecordStat(const std::string& name, const SampleStats& stats) {
-  RecordedStats()[name] = stats;
-}
-
 void PrintHeader(const std::string& exhibit, const std::string& description) {
-  g_exhibit = exhibit;
-  g_wall_start = std::chrono::steady_clock::now();
-  static bool telemetry_registered = false;
-  if (!telemetry_registered) {
-    telemetry_registered = true;
-    std::atexit(EmitTelemetryLine);
-  }
   std::printf("================================================================\n");
   std::printf("SimMR reproduction — %s\n", exhibit.c_str());
   std::printf("%s\n", description.c_str());
   std::printf("================================================================\n\n");
 }
-
-void AddTelemetryEvents(std::uint64_t events) { g_telemetry_events += events; }
 
 void PrintSection(const std::string& title) {
   std::printf("\n--- %s ---\n", title.c_str());

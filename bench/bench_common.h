@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,40 +23,8 @@ namespace simmr::bench {
 /// Reads a positive integer environment knob with a default.
 std::uint64_t EnvOrDefault(const char* name, std::uint64_t fallback);
 
-/// Robust summary of repeated measurements: median, median absolute
-/// deviation, and a seeded-bootstrap 95% confidence interval of the
-/// median (deterministic: same samples => same interval).
-struct SampleStats {
-  std::size_t n = 0;
-  double median = 0.0;
-  double mad = 0.0;      // median absolute deviation from the median
-  double ci95_lo = 0.0;  // bootstrap 95% CI of the median
-  double ci95_hi = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Summarizes a sample vector (copied: it is sorted internally).
-SampleStats Summarize(std::vector<double> samples);
-
-/// Statistical measurement harness: runs fn() `warmup` times untimed
-/// (cache/branch-predictor warmup), then `runs` timed repetitions, and
-/// returns the per-repetition wall-second stats.
-SampleStats MeasureRepeated(int warmup, int runs,
-                            const std::function<void()>& fn);
-
-/// Folds a named statistic into the exit telemetry line as
-/// "stats":{"<name>":{...}} — run_benches.sh carries it into the
-/// simmr.benchsuite.v2 document, where perf-diff reads the CI.
-void RecordStat(const std::string& name, const SampleStats& stats);
-
-/// Prints the standard header for a bench binary, starts the wall clock
-/// and arranges for one machine-readable RunTelemetry JSON line
-/// ("simmr.telemetry.v1", see obs/telemetry.h) on stdout at process exit.
+/// Prints the standard header for a bench binary.
 void PrintHeader(const std::string& exhibit, const std::string& description);
-
-/// Adds simulated events to the exit telemetry (feeds events_per_second).
-void AddTelemetryEvents(std::uint64_t events);
 
 /// Prints a section separator.
 void PrintSection(const std::string& title);

@@ -121,29 +121,8 @@ int main() {
                 simmr_wall > 0.0 ? mumak_wall / simmr_wall : 0.0,
                 static_cast<unsigned long long>(sim.events_processed),
                 static_cast<unsigned long long>(mres.events_processed));
-    bench::AddTelemetryEvents(sim.events_processed + mres.events_processed);
     if (jobs == kTotalJobs) break;
   }
-  // Statistical rigor for the headline number: repeated full-scale SimMR
-  // replays through the bench harness (warmup + reps, median/MAD/bootstrap
-  // CI) land in the exit telemetry's "stats" object, where the perf gate
-  // (simmr_analyze perf-diff) reads noise-aware intervals instead of one
-  // wall-clock sample.
-  const int stat_runs = static_cast<int>(
-      bench::EnvOrDefault("SIMMR_BENCH_FIG6_STAT_RUNS", 10));
-  const bench::SampleStats full_replay =
-      bench::MeasureRepeated(/*warmup=*/1, stat_runs, [&] {
-        sched::FifoPolicy fifo;
-        const auto sim =
-            core::Replay(workload, fifo, bench::PaperSimConfig());
-        bench::AddTelemetryEvents(sim.events_processed);
-      });
-  bench::RecordStat("simmr_full_replay_seconds", full_replay);
-  std::printf(
-      "\nsimmr full replay: median %.4f s (MAD %.4f, CI95 [%.4f, %.4f], "
-      "n=%zu)\n",
-      full_replay.median, full_replay.mad, full_replay.ci95_lo,
-      full_replay.ci95_hi, full_replay.n);
   std::printf(
       "\npaper reference: SimMR 1.5 s vs Mumak 680 s at 1148 jobs (>450x).\n");
   return 0;

@@ -6,8 +6,8 @@
 namespace simmr::analysis {
 namespace {
 
-// Nesting bound: benchsuite documents are 3 levels deep; 64 leaves head
-// room for future schemas while keeping recursion off any hostile path.
+// Nesting bound: the documents read today are a few levels deep; 64 leaves
+// head room for future schemas while keeping recursion off any hostile path.
 constexpr int kMaxDepth = 64;
 
 class Parser {

@@ -1,17 +1,16 @@
 // A small recursive JSON reader for the analysis layer.
 //
 // The event-log loader (run_record.cpp) parses flat one-line objects with
-// a purpose-built scanner; bench-suite documents (simmr.benchsuite.v1/v2)
-// are nested — a top-level object holding a "host" object and a "runs"
-// array of telemetry objects that may themselves carry a "stats" object
-// of per-metric summaries. This is the full recursive parser those
-// documents need: values, arrays, objects (insertion-ordered), string
-// escapes including \uXXXX, and a depth limit so hostile input fails
-// instead of overflowing the stack.
+// a purpose-built scanner; the sweep (simmr.sweep.v1), time-series
+// (simmr.timeseries.v1) and exploration (simmr.explore.v1) documents are
+// nested, with objects inside arrays inside objects. This is the full
+// recursive parser those documents need: values, arrays, objects
+// (insertion-ordered), string escapes including \uXXXX, and a depth limit
+// so hostile input fails instead of overflowing the stack.
 //
 // Parse errors throw std::runtime_error with a byte offset. Numbers are
-// doubles (the documents only carry counts and seconds; 2^53 integer
-// precision is more than the telemetry needs).
+// doubles (the documents only carry counts, seconds and sim times; 2^53
+// integer precision is more than they need).
 #pragma once
 
 #include <cstddef>

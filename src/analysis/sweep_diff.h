@@ -1,6 +1,6 @@
 // Behaviour-drift comparison of two simmr.sweep.v1 documents.
 //
-// perf_diff.h gates wall-clock performance; this gates *results*. A sweep
+// bench/pair.py gates wall-clock performance; this gates *results*. A sweep
 // document's cell aggregates are pure sim-time quantities — deterministic
 // for a given trace database, grid and seed — so two sweeps of the same
 // grid from the same inputs must agree cell-for-cell. CI runs the sweep
@@ -80,7 +80,7 @@ SweepDiffResult DiffSweepDocs(const SweepDoc& baseline,
 std::string RenderSweepDiff(const SweepDiffResult& result,
                             const SweepDiffOptions& options);
 
-/// 0 clean, 4 drift, 1 structural error — mirrors PerfDiffExitCode.
+/// 0 clean, 4 drift, 1 structural error.
 int SweepDiffExitCode(const SweepDiffResult& result);
 
 }  // namespace simmr::analysis

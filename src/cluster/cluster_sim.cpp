@@ -108,15 +108,6 @@ class TestbedSim {
         err = "plan authored for " + std::to_string(plan.num_nodes) +
               " nodes, cluster has " +
               std::to_string(options.config.num_nodes);
-      if (err.empty() && plan.num_nodes == 0) {
-        for (const auto& a : plan.actions) {
-          if (a.node >= options.config.num_nodes) {
-            err = "geometry-free plan targets node " + std::to_string(a.node) +
-                  " beyond the cluster";
-            break;
-          }
-        }
-      }
       if (!err.empty())
         throw std::invalid_argument("RunTestbed: invalid fault plan: " + err);
       fault_actions_ = fault::SortedActions(plan);

@@ -47,14 +47,6 @@ class EngineImpl {
            plan.num_nodes * plan.reduce_slots_per_node !=
                config_.reduce_slots))
         err = "plan geometry does not match the engine slot totals";
-      if (err.empty() && plan.num_nodes == 0) {
-        for (const auto& a : plan.actions) {
-          if (a.kind != fault::FaultActionKind::kKillAttempt) {
-            err = "geometry-free plan has node-scoped actions";
-            break;
-          }
-        }
-      }
       if (!err.empty())
         throw std::invalid_argument("SimulatorEngine: invalid fault plan: " +
                                     err);

@@ -1,6 +1,7 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -30,6 +31,20 @@ std::string ReadField(std::istream& in, const char* key) {
     throw std::runtime_error(std::string("fault plan: expected field ") + key +
                              ", got '" + line + "'");
   return space == std::string::npos ? std::string() : line.substr(space + 1);
+}
+
+/// Reads header field `key` whose value must be one whole number: no sign
+/// on an unsigned T, no trailing characters, in T's range.
+template <typename T>
+T ReadNumberField(std::istream& in, const char* key) {
+  const std::string value = ReadField(in, key);
+  T number{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, number);
+  if (ec != std::errc() || ptr != end)
+    throw std::runtime_error(std::string("fault plan: bad ") + key + " '" +
+                             value + "'");
+  return number;
 }
 
 /// Asserts that the next token of `in` equals `word` (action-line syntax
@@ -180,18 +195,20 @@ FaultPlan ReadFaultPlan(std::istream& in) {
 FaultPlan ReadFaultPlanBody(std::istream& in) {
   std::string line;
   FaultPlan plan;
-  plan.num_nodes = std::stoi(ReadField(in, "num_nodes"));
-  plan.map_slots_per_node = std::stoi(ReadField(in, "map_slots_per_node"));
+  plan.num_nodes = ReadNumberField<std::int32_t>(in, "num_nodes");
+  plan.map_slots_per_node =
+      ReadNumberField<std::int32_t>(in, "map_slots_per_node");
   plan.reduce_slots_per_node =
-      std::stoi(ReadField(in, "reduce_slots_per_node"));
-  plan.seed = std::stoull(ReadField(in, "seed"));
-  const int num_actions = std::stoi(ReadField(in, "actions"));
-  if (num_actions < 0)
-    throw std::runtime_error("fault plan: negative action count");
-  plan.actions.reserve(static_cast<std::size_t>(num_actions));
-  for (int i = 0; i < num_actions; ++i) {
+      ReadNumberField<std::int32_t>(in, "reduce_slots_per_node");
+  plan.seed = ReadNumberField<std::uint64_t>(in, "seed");
+  // The vector grows with the lines actually read: a declared count asks
+  // for no memory up front.
+  const auto num_actions = ReadNumberField<std::uint32_t>(in, "actions");
+  for (std::uint32_t i = 0; i < num_actions; ++i) {
     if (!std::getline(in, line))
-      throw std::runtime_error("fault plan: truncated action list");
+      throw std::runtime_error(
+          "fault plan: truncated action list: actions declares " +
+          std::to_string(num_actions) + ", found " + std::to_string(i));
     std::istringstream as(line);
     std::string kind_name;
     FaultAction a;

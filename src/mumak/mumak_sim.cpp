@@ -90,14 +90,6 @@ class MumakSim {
       if (err.empty() && plan.num_nodes > 0 &&
           plan.num_nodes != config.num_nodes)
         err = "plan node count does not match MumakConfig::num_nodes";
-      if (err.empty() && plan.num_nodes == 0) {
-        for (const auto& a : plan.actions) {
-          if (a.kind != fault::FaultActionKind::kKillAttempt) {
-            err = "geometry-free plan has node-scoped actions";
-            break;
-          }
-        }
-      }
       if (!err.empty())
         throw std::invalid_argument("RunMumak: invalid fault plan: " + err);
       faults_enabled_ = true;

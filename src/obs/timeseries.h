@@ -170,9 +170,9 @@ class TimeSeriesSampler final : public SimObserver {
   // The hooks are defined inline so the devirtualized engine path
   // (EngineImpl<TimeSeriesSampler>, see src/core/engine.cpp) compiles
   // them straight into the hook sites: the common case is a cached
-  // boundary compare plus a couple of increments, which is what holds
-  // default-window sampling near the bench_timeseries_overhead target
-  // (most of what remains is plumbing any attached observer pays).
+  // boundary compare plus a couple of increments, which keeps default-window
+  // sampling cheap (most of what remains is plumbing any attached observer
+  // pays).
   void OnEventDequeue(SimTime now, const char* /*event_type*/,
                       std::size_t queue_depth) override {
     AdvanceTo(now);

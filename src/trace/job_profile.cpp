@@ -47,6 +47,15 @@ class Tokens {
     rest_.remove_prefix(end);
     return token;
   }
+  /// The rest of the line without its leading or trailing whitespace.
+  std::string_view Rest() {
+    std::size_t begin = 0, end = rest_.size();
+    while (begin < end && IsSpace(rest_[begin])) ++begin;
+    while (end > begin && IsSpace(rest_[end - 1])) --end;
+    const std::string_view rest = rest_.substr(begin, end - begin);
+    rest_ = {};
+    return rest;
+  }
 
  private:
   std::string_view rest_;
@@ -106,6 +115,19 @@ std::vector<double> ReadArray(std::istream& in, const char* tag) {
   return values;
 }
 
+/// Throws unless Read, and the index.tsv of a TraceDatabase, give `name`
+/// back exactly: "-" stands for an empty name, a name ends at its line's
+/// end, index.tsv columns are tab-separated, and Read drops the whitespace
+/// around a name.
+void CheckName(const std::string& name, const char* field) {
+  const bool exact =
+      name != "-" && name.find_first_of("\t\r\n") == std::string::npos &&
+      (name.empty() || (!IsSpace(name.front()) && !IsSpace(name.back())));
+  if (!exact)
+    throw std::invalid_argument(std::string("JobProfile::Write: ") + field +
+                                " '" + name + "' would not read back exactly");
+}
+
 }  // namespace
 
 std::string JobProfile::Validate() const {
@@ -131,6 +153,8 @@ std::string JobProfile::Validate() const {
 }
 
 void JobProfile::Write(std::ostream& out) const {
+  CheckName(app_name, "app");
+  CheckName(dataset, "dataset");
   out << kMagic << '\n';
   // max_digits10: doubles survive a write/read round trip bit-exactly,
   // which replayable reproducers (simmr_fuzz) and the database round-trip
@@ -151,29 +175,29 @@ JobProfile JobProfile::Read(std::istream& in) {
   if (!std::getline(in, line) || line != kMagic)
     throw std::runtime_error("JobProfile: bad or missing magic header");
   JobProfile p;
-  // `whole_line` rejects anything after the value; the name fields keep
-  // their historical first-token reading.
-  const auto read_field = [&in](const char* tag, bool whole_line) {
+  // A name is the rest of its line after the tag; a number must be the
+  // line's only other token.
+  const auto read_field = [&in](const char* tag, bool name) {
     std::string field_line;
     if (!std::getline(in, field_line))
       throw std::runtime_error(std::string("JobProfile: missing field ") +
                                tag);
     Tokens tokens(field_line);
     const std::string_view seen_tag = tokens.Next();
-    const std::string_view value = tokens.Next();
+    const std::string_view value = name ? tokens.Rest() : tokens.Next();
     if (seen_tag != tag || value.empty())
       throw std::runtime_error(std::string("JobProfile: expected field ") +
                                tag);
-    if (whole_line) ExpectLineEnd(tokens, field_line, tag);
+    if (!name) ExpectLineEnd(tokens, field_line, tag);
     return std::string(value);
   };
-  p.app_name = read_field("app", false);
+  p.app_name = read_field("app", true);
   if (p.app_name == "-") p.app_name.clear();
-  p.dataset = read_field("dataset", false);
+  p.dataset = read_field("dataset", true);
   if (p.dataset == "-") p.dataset.clear();
-  p.num_maps = ParseNumber<int>(read_field("num_maps", true), "num_maps");
+  p.num_maps = ParseNumber<int>(read_field("num_maps", false), "num_maps");
   p.num_reduces =
-      ParseNumber<int>(read_field("num_reduces", true), "num_reduces");
+      ParseNumber<int>(read_field("num_reduces", false), "num_reduces");
   p.map_durations = ReadArray(in, "map_durations");
   p.first_shuffle_durations = ReadArray(in, "first_shuffle_durations");
   p.typical_shuffle_durations = ReadArray(in, "typical_shuffle_durations");

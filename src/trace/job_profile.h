@@ -55,7 +55,9 @@ struct JobProfile {
   }
   Summary ReduceSummary() const { return Summarize(reduce_durations); }
 
-  /// Versioned text serialization (one profile per stream).
+  /// Versioned text serialization (one profile per stream). Write throws
+  /// std::invalid_argument on a name that would not read back exactly:
+  /// one holding a tab, CR or LF, with whitespace at either end, or "-".
   void Write(std::ostream& out) const;
   static JobProfile Read(std::istream& in);
 

@@ -262,31 +262,47 @@ TEST(SimSession, SameSpecSameSeedGivesIdenticalResults) {
 
 TEST(SimSession, ConcurrentReplaysMatchSerialReplays) {
   // The simmr_sweep contract: one shared session, per-index specs with
-  // split seeds, identical results at any thread count.
+  // split seeds, bit-identical results at any thread count. The MinEDF
+  // sessions also read the shared solo completions for their deadlines.
   auto pool = SmallPool();
-  const SimSession session(pool, nullptr);
+  core::SimConfig solo_cfg;
+  solo_cfg.map_slots = 8;
+  solo_cfg.reduce_slots = 4;
+  const SimSession session(
+      pool, std::make_shared<std::vector<double>>(
+                core::MeasureSoloCompletions(*pool, solo_cfg)));
   const Rng master(42);
 
-  const auto spec_for = [&](std::size_t i) {
+  const auto outcome = [&](std::size_t i) {
+    static constexpr const char* kPolicies[] = {"fifo", "fair", "minedf"};
     ReplaySpec spec;
-    spec.policy = i % 2 == 0 ? "fifo" : "fair";
+    spec.policy = kPolicies[i % 3];
     spec.map_slots = 8;
     spec.reduce_slots = 4;
     spec.num_jobs = 6;
+    if (spec.policy == "minedf") spec.deadline_factor = 1.5;
     spec.seed = master.Split("session", i)();
-    return spec;
+    const RunResult result = session.Replay(spec);
+    std::vector<double> out = {result.makespan,
+                               static_cast<double>(result.events_processed)};
+    for (const auto& job : result.jobs) {
+      out.push_back(job.finish);
+      out.push_back(job.deadline);
+    }
+    return out;
   };
 
-  constexpr std::size_t kRuns = 8;
-  std::vector<double> serial(kRuns), parallel(kRuns);
-  for (std::size_t i = 0; i < kRuns; ++i)
-    serial[i] = session.Replay(spec_for(i)).makespan;
-  ParallelFor(
-      kRuns,
-      [&](std::size_t i) { parallel[i] = session.Replay(spec_for(i)).makespan; },
-      4);
-  for (std::size_t i = 0; i < kRuns; ++i)
-    EXPECT_DOUBLE_EQ(serial[i], parallel[i]) << "session " << i;
+  constexpr std::size_t kRuns = 16;
+  std::vector<std::vector<double>> serial(kRuns);
+  for (std::size_t i = 0; i < kRuns; ++i) serial[i] = outcome(i);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    std::vector<std::vector<double>> parallel(kRuns);
+    ParallelFor(
+        kRuns, [&](std::size_t i) { parallel[i] = outcome(i); }, threads);
+    for (std::size_t i = 0; i < kRuns; ++i)
+      EXPECT_EQ(serial[i], parallel[i])
+          << "session " << i << " at " << threads << " threads";
+  }
 }
 
 TEST(SimBackend, NamesMatchTheResultSimulatorTag) {

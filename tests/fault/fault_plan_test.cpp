@@ -87,6 +87,41 @@ TEST(FaultPlanFormat, RejectsTruncatedActionList) {
   EXPECT_THROW(ReadFaultPlan(cut), std::runtime_error);
 }
 
+/// The message ReadFaultPlan throws for SamplePlan's text with one header
+/// line replaced, or "" when it loads.
+std::string HeaderError(const std::string& from, const std::string& to) {
+  std::stringstream stream;
+  WriteFaultPlan(stream, SamplePlan());
+  std::string text = stream.str();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  std::stringstream edited(text.replace(at, from.size(), to));
+  try {
+    ReadFaultPlan(edited);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultPlanFormat, RejectsHeaderNumbersThatAreNotWholeTokens) {
+  EXPECT_NE(HeaderError("num_nodes 4\n", "num_nodes 16abc\n")
+                .find("bad num_nodes '16abc'"),
+            std::string::npos);
+  EXPECT_NE(HeaderError("seed 12345\n", "seed -5\n").find("bad seed '-5'"),
+            std::string::npos);
+  EXPECT_NE(HeaderError("map_slots_per_node 2\n", "map_slots_per_node 2 \n")
+                .find("bad map_slots_per_node"),
+            std::string::npos);
+}
+
+TEST(FaultPlanFormat, HugeActionCountFailsWithoutReservingIt) {
+  // Reserving 2e9 actions up front would ask for ~112 GB.
+  EXPECT_NE(HeaderError("actions 5\n", "actions 2000000000\n")
+                .find("actions declares 2000000000, found 5"),
+            std::string::npos);
+}
+
 TEST(FaultPlanFormat, KindNamesRoundTrip) {
   for (FaultActionKind kind :
        {FaultActionKind::kNodeCrash, FaultActionKind::kNodeRestore,

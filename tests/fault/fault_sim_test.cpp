@@ -391,6 +391,14 @@ TEST(TestbedFaults, FaultedRunIsDeterministic) {
   }
 }
 
+TEST(TestbedFaults, GeometryFreeNodeActionThrows) {
+  const std::vector<cluster::SubmittedJob> jobs{{TestbedSpec(), 0.0, 0.0}};
+  fault::FaultPlan plan;  // num_nodes == 0
+  plan.actions = {NodeAction(fault::FaultActionKind::kNodeCrash, 10.0, 1)};
+  EXPECT_THROW(cluster::RunTestbed(jobs, TestbedFaultOptions(&plan)),
+               std::invalid_argument);
+}
+
 TEST(TestbedFaults, InvalidPlanThrows) {
   const std::vector<cluster::SubmittedJob> jobs{{TestbedSpec(), 0.0, 0.0}};
   fault::FaultPlan plan = TestbedPlan();
@@ -471,6 +479,13 @@ TEST(MumakFaults, FaultedRunIsDeterministic) {
   const auto b = mumak::RunMumak(UniformTrace(16, 4), MumakFaultConfig(&plan));
   EXPECT_DOUBLE_EQ(a.jobs[0].finish_time, b.jobs[0].finish_time);
   EXPECT_EQ(a.events_processed, b.events_processed);
+}
+
+TEST(MumakFaults, GeometryFreeNodeActionThrows) {
+  fault::FaultPlan plan;  // num_nodes == 0
+  plan.actions = {NodeAction(fault::FaultActionKind::kNodeCrash, 5.0, 1)};
+  EXPECT_THROW(mumak::RunMumak(UniformTrace(8, 2), MumakFaultConfig(&plan)),
+               std::invalid_argument);
 }
 
 TEST(MumakFaults, GeometryMismatchThrows) {

@@ -36,7 +36,7 @@ TEST(RunTelemetry, ZeroWallTimeYieldsZeroRate) {
 
 TEST(RunTelemetry, ToJsonGolden) {
   RunTelemetry t;
-  t.tool = "bench_throughput";
+  t.tool = "simmr_replay";
   t.scenario = "jobs=50 \"quoted\"";
   t.wall_seconds = 0.25;
   t.events_processed = 4000;
@@ -47,7 +47,7 @@ TEST(RunTelemetry, ToJsonGolden) {
   t.max_rss_kb = 2048;
   EXPECT_EQ(t.ToJson(),
             "{\"schema\":\"simmr.telemetry.v1\","
-            "\"tool\":\"bench_throughput\","
+            "\"tool\":\"simmr_replay\","
             "\"scenario\":\"jobs=50 \\\"quoted\\\"\","
             "\"wall_seconds\":0.25,\"wall_ms\":250,"
             "\"events_processed\":4000,\"events_per_second\":16000,"

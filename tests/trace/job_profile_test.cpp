@@ -94,6 +94,41 @@ TEST(JobProfile, RoundTripWithEmptyNames) {
   EXPECT_EQ(loaded, p);
 }
 
+TEST(JobProfile, RoundTripKeepsWholeNames) {
+  JobProfile p = SampleProfile();
+  p.app_name = "Word Count";
+  p.dataset = "wiki 40GB\v(x)";
+  std::stringstream buffer;
+  p.Write(buffer);
+  EXPECT_EQ(JobProfile::Read(buffer), p);
+}
+
+TEST(JobProfile, ReadDropsWhitespaceAroundNames) {
+  std::stringstream buffer(
+      "SIMMR-PROFILE-V1\napp \t Word Count \r\ndataset wiki 40GB\r\n"
+      "num_maps 1\nnum_reduces 0\nmap_durations 1 5\n"
+      "first_shuffle_durations 0\ntypical_shuffle_durations 0\n"
+      "reduce_durations 0\n");
+  const JobProfile p = JobProfile::Read(buffer);
+  EXPECT_EQ(p.app_name, "Word Count");
+  EXPECT_EQ(p.dataset, "wiki 40GB");
+}
+
+TEST(JobProfile, WriteRejectsNamesThatWouldNotReadBack) {
+  for (const char* name :
+       {"a\tb", "a\nb", "a\rb", " lead", "trail ", "trail\f", "-"}) {
+    SCOPED_TRACE(name);
+    JobProfile app = SampleProfile();
+    app.app_name = name;
+    JobProfile dataset = SampleProfile();
+    dataset.dataset = name;
+    std::stringstream buffer;
+    EXPECT_THROW(app.Write(buffer), std::invalid_argument);
+    EXPECT_THROW(dataset.Write(buffer), std::invalid_argument);
+    EXPECT_TRUE(buffer.str().empty());
+  }
+}
+
 TEST(JobProfile, RoundTripWithEmptyArrays) {
   JobProfile p;
   p.num_maps = 1;

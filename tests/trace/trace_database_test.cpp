@@ -104,6 +104,20 @@ TEST_F(TraceDatabaseTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.FindByApp("Sort").size(), 1u);
 }
 
+TEST_F(TraceDatabaseTest, SaveLoadRoundTripKeepsNamesWithSpaces) {
+  TraceDatabase db;
+  db.Put(Profile("Word Count", "wiki 40GB"));
+  db.Put(Profile("Sort", ""));
+  db.Save(dir_.string());
+
+  const TraceDatabase loaded = TraceDatabase::Load(dir_.string());
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.Get(0), db.Get(0));
+  EXPECT_EQ(loaded.Get(1), db.Get(1));
+  EXPECT_EQ(loaded.FindByApp("Word Count").size(), 1u);
+  EXPECT_TRUE(loaded.FindByApp("Word").empty());
+}
+
 TEST_F(TraceDatabaseTest, SaveCreatesIndexAndProfileFiles) {
   TraceDatabase db;
   db.Put(Profile("A", "1"));

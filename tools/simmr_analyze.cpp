@@ -6,7 +6,6 @@
 //   simmr_analyze utilization --log=run.jsonl --map-slots=16
 //   simmr_analyze diff --a=run.simmr.jsonl --b=run.mumak.jsonl --json
 //   simmr_analyze availability --log=faulted.jsonl --baseline=clean.jsonl
-//   simmr_analyze perf-diff --baseline=BENCH_main.json --candidate=BENCH_pr.json
 //   simmr_analyze sweep-diff --baseline=sweep_a.json --candidate=sweep_b.json
 //   simmr_analyze explore --summary=explore.json
 #include <cstdio>
@@ -17,7 +16,6 @@
 
 #include "analysis/availability.h"
 #include "analysis/json_value.h"
-#include "analysis/perf_diff.h"
 #include "analysis/report.h"
 #include "analysis/run_diff.h"
 #include "analysis/run_record.h"
@@ -41,8 +39,6 @@ void PrintTopUsage() {
       "  availability   fault-plan damage report: node downtime, killed\n"
       "                 and re-executed work, per-job completion penalty\n"
       "                 vs an optional fault-free --baseline log\n"
-      "  perf-diff      noise-aware comparison of two bench suites\n"
-      "                 (BENCH_*.json); exits 4 on a regression\n"
       "  timeline       per-window utilization / queue-depth / running-task\n"
       "                 tables and a straggler summary from a\n"
       "                 simmr.timeseries.v1 file (--timeseries-out)\n"
@@ -195,48 +191,6 @@ int main(int argc, char** argv) {
       std::fputs(analysis::RenderDiff(diff, opt).c_str(), stdout);
       if (opt.json) std::fputc('\n', stdout);
       return diff.identical ? 0 : 3;
-    }
-
-    if (sub == "perf-diff") {
-      const auto flags = tools::Flags::Parse(
-          argc, argv,
-          "Compares two bench-suite documents (simmr.benchsuite.v1/v2,\n"
-          "written by bench/run_benches.sh). A metric regresses when its\n"
-          "direction-adjusted delta exceeds the threshold AND the 95%\n"
-          "confidence intervals are disjoint; point metrics count as\n"
-          "zero-width intervals. Exits 0 when clean, 4 on any regression,\n"
-          "1 on structural errors (missing runs, NaN metrics, bad input).",
-          {
-              {"baseline", "", "baseline BENCH_*.json path"},
-              {"candidate", "", "candidate BENCH_*.json path"},
-              {"threshold", "0.10",
-               "relative delta that counts as a regression"},
-              JsonFlag(),
-              tools::LogLevelFlag(),
-          });
-      if (!flags) return tools::Flags::LastParseFailed() ? 1 : 0;
-      if (!tools::ApplyLogLevel(*flags)) return 1;
-      if (flags->Get("baseline").empty() || flags->Get("candidate").empty()) {
-        std::fprintf(stderr,
-                     "error: perf-diff needs both --baseline and "
-                     "--candidate\n");
-        return 1;
-      }
-      analysis::PerfDiffOptions opt;
-      opt.threshold = flags->GetDouble("threshold");
-      opt.json = flags->GetBool("json");
-      if (!(opt.threshold > 0.0)) {
-        std::fprintf(stderr, "error: --threshold must be positive\n");
-        return 1;
-      }
-      const auto baseline =
-          analysis::LoadBenchSuite(flags->Get("baseline"));
-      const auto candidate =
-          analysis::LoadBenchSuite(flags->Get("candidate"));
-      const auto result = analysis::DiffBenchSuites(baseline, candidate, opt);
-      std::fputs(analysis::RenderPerfDiff(result, opt).c_str(), stdout);
-      if (opt.json) std::fputc('\n', stdout);
-      return analysis::PerfDiffExitCode(result);
     }
 
     if (sub == "timeline") {
