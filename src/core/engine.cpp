@@ -22,11 +22,13 @@ template <class TObs>
 class EngineImpl {
  public:
   EngineImpl(const SimConfig& config, SchedulerPolicy& policy,
-             const trace::WorkloadTrace& workload, TObs* obs)
+             const trace::WorkloadTrace& workload, TObs* obs,
+             ScheduleOracle* oracle)
       : config_(config),
         policy_(&policy),
         workload_(&workload),
-        obs_(obs) {
+        obs_(obs),
+        oracle_(oracle) {
     if (config_.map_slots <= 0 || config_.reduce_slots <= 0)
       throw std::invalid_argument("SimulatorEngine: nonpositive slot count");
     if (config_.min_map_percent_completed < 0.0 ||
@@ -71,11 +73,16 @@ class EngineImpl {
       kernel_.Schedule(tj.arrival, Event{EventType::kJobArrival,
                                          static_cast<JobId>(i), 0});
     }
+    ready_.Reset(jobs_);
     if (faults_enabled_) ScheduleFaultActions();
 
-    kernel_.Drain(
-        obs_, [](const Event& ev) { return EventTypeName(ev.type); },
-        [this](const Event& ev) { Dispatch(ev); });
+    kernel_.DrainUntilOracle(
+        [] { return false; }, obs_,
+        [](const Event& ev) { return EventTypeName(ev.type); },
+        [](const Event& ev) {
+          return ChoiceOption{EventTypeName(ev.type), ev.job, ev.aux};
+        },
+        [this](const Event& ev) { Dispatch(ev); }, oracle_);
     if (completed_jobs_ != jobs_.size())
       throw std::logic_error("SimulatorEngine: queue drained with jobs open");
 
@@ -116,8 +123,8 @@ class EngineImpl {
   }
 
   void OnJobArrival(JobState& job) {
-    job_queue_.push_back(&job);
-    prof::RaiseHighWater(prof::HighWater::kReadySet, job_queue_.size());
+    ready_.Arrive(job);
+    prof::RaiseHighWater(prof::HighWater::kReadySet, ready_.size());
     if (faults_enabled_) {
       map_epoch_[job.id()].assign(job.num_maps(), 0);
       reduce_epoch_[job.id()].assign(job.num_reduces(), 0);
@@ -143,6 +150,7 @@ class EngineImpl {
   void OpenReduceGate(JobState& job) {
     if (job.reduce_gate_open) return;
     job.reduce_gate_open = true;
+    ready_.Update(job);
     kernel_.Schedule(now(),
                      Event{EventType::kReduceTaskArrival, job.id(), 0});
   }
@@ -155,6 +163,7 @@ class EngineImpl {
     }
     ++job.maps_completed;
     ++slots_.free_maps;
+    ready_.Finished(job);
     if (obs_ != nullptr) {
       const SimTime start = task_times_[job.id()].map_start[index];
       obs_->OnTaskCompletion(now(), job.id(), obs::TaskKind::kMap, index,
@@ -217,6 +226,7 @@ class EngineImpl {
     }
     ++job.reduces_completed;
     ++slots_.free_reduces;
+    ready_.Finished(job);
     if (obs_ != nullptr) {
       obs_->OnTaskCompletion(now(), job.id(), obs::TaskKind::kReduce, index,
                              task_times_[job.id()].reduce[index],
@@ -234,7 +244,7 @@ class EngineImpl {
 
   void OnJobDeparture(JobState& job) {
     ++completed_jobs_;
-    std::erase(job_queue_, &job);
+    ready_.Depart(job);
     if (obs_ != nullptr) obs_->OnJobCompletion(now(), job.id());
     policy_->OnJobCompletion(job, now());
     result_.makespan = std::max(result_.makespan, now());
@@ -253,8 +263,7 @@ class EngineImpl {
 
   void AssignMapSlots() {
     while (slots_.free_maps > 0) {
-      const JobId chosen = policy_->ChooseNextMapTask(
-          JobQueue(job_queue_.data(), job_queue_.size()));
+      const JobId chosen = policy_->ChooseNextMapTask(JobQueue(ready_));
       if (obs_ != nullptr)
         obs_->OnSchedulerDecision(now(), obs::TaskKind::kMap, chosen);
       if (chosen == kInvalidJob) return;
@@ -280,6 +289,7 @@ class EngineImpl {
       ++job.maps_launched;
     }
     --slots_.free_maps;
+    ready_.Launched(job);
     if (job.first_launch < 0.0) job.first_launch = now();
     if (obs_ != nullptr) {
       task_times_[job.id()].map_start[index] = now();
@@ -302,8 +312,7 @@ class EngineImpl {
   void AssignReduceSlots() {
     for (;;) {
       while (slots_.free_reduces > 0) {
-        const JobId chosen = policy_->ChooseNextReduceTask(
-            JobQueue(job_queue_.data(), job_queue_.size()));
+        const JobId chosen = policy_->ChooseNextReduceTask(JobQueue(ready_));
         if (obs_ != nullptr)
           obs_->OnSchedulerDecision(now(), obs::TaskKind::kReduce, chosen);
         if (chosen == kInvalidJob) return;
@@ -316,12 +325,10 @@ class EngineImpl {
       if (!config_.allow_filler_preemption) return;
       // No slot free: is anyone still waiting, and does the policy want to
       // preempt a filler on their behalf?
-      const JobId claimant_id = policy_->ChooseNextReduceTask(
-          JobQueue(job_queue_.data(), job_queue_.size()));
+      const JobId claimant_id = policy_->ChooseNextReduceTask(JobQueue(ready_));
       if (claimant_id == kInvalidJob) return;
       const JobId victim_id = policy_->ChooseReducePreemptionVictim(
-          JobQueue(job_queue_.data(), job_queue_.size()),
-          *jobs_[claimant_id]);
+          JobQueue(ready_), *jobs_[claimant_id]);
       if (victim_id == kInvalidJob) return;
       if (victim_id == claimant_id)
         throw std::logic_error(
@@ -353,6 +360,7 @@ class EngineImpl {
       RemoveRunning(running_reduces_, victim.id(), index);
     }
     ++slots_.free_reduces;
+    ready_.Update(victim);
   }
 
   void LaunchReduce(JobState& job) {
@@ -367,6 +375,7 @@ class EngineImpl {
       ++job.reduces_launched;
     }
     --slots_.free_reduces;
+    ready_.Launched(job);
     if (faults_enabled_) running_reduces_.push_back({job.id(), index});
     if (job.first_launch < 0.0) job.first_launch = now();
     const double reduce_duration = job.NextReduceDuration();
@@ -546,6 +555,7 @@ class EngineImpl {
     ++map_epoch_[job_id][index];
     job.requeued_maps.push_back(index);
     ++slots_.free_maps;
+    ready_.Update(job);
     if (obs_ != nullptr) {
       const SimTime start = task_times_[job_id].map_start[index];
       obs_->OnTaskCompletion(now(), job_id, obs::TaskKind::kMap, index,
@@ -571,6 +581,7 @@ class EngineImpl {
     }
     job.requeued_reduces.push_back(index);
     ++slots_.free_reduces;
+    ready_.Update(job);
     if (obs_ != nullptr) {
       const SimTime start = task_times_[job_id].reduce[index].start;
       obs_->OnTaskCompletion(now(), job_id, obs::TaskKind::kReduce, index,
@@ -605,6 +616,7 @@ class EngineImpl {
   SchedulerPolicy* policy_;
   const trace::WorkloadTrace* workload_;
   TObs* obs_;
+  ScheduleOracle* oracle_;
 
   /// Per-job launch timing kept only when an observer is installed, so
   /// departures can report full TaskTiming. Indexed by launch index
@@ -616,8 +628,11 @@ class EngineImpl {
   std::vector<JobTaskTimes> task_times_;
 
   SimKernel<Event> kernel_;
+  // One allocation per job: a contiguous block of JobStates, freed and
+  // taken again on every run, fragments the heap that observer buffers
+  // grow in and raises peak RSS.
   std::vector<std::unique_ptr<JobState>> jobs_;
-  std::vector<const JobState*> job_queue_;
+  ReadySets ready_;
   SlotPool slots_;
   std::size_t completed_jobs_ = 0;
   SimResult result_;
@@ -643,25 +658,28 @@ class EngineImpl {
 SimulatorEngine::SimulatorEngine(SimConfig config, SchedulerPolicy& policy)
     : config_(config), policy_(&policy) {}
 
-SimResult SimulatorEngine::Run(const trace::WorkloadTrace& workload) {
+SimResult SimulatorEngine::Run(const trace::WorkloadTrace& workload,
+                               ScheduleOracle* oracle) {
   // Devirtualize the recording hot path: a bare EventLogObserver (the
   // common --event-log-out wiring) gets the engine instantiated against
   // its concrete type, so its inline 48-byte appends compile straight into
   // the hook sites. Anything else — multicast fan-outs included — takes
   // the generic virtual-dispatch engine.
   if (auto* log = dynamic_cast<obs::EventLogObserver*>(config_.observer)) {
-    EngineImpl<obs::EventLogObserver> impl(config_, *policy_, workload, log);
+    EngineImpl<obs::EventLogObserver> impl(config_, *policy_, workload, log,
+                                           oracle);
     return impl.Run();
   }
   // Same treatment for a bare TimeSeriesSampler: its hooks are a handful
   // of adds and compares, which inline once the type is concrete — this
   // keeps default-window sampling overhead in the low single digits.
   if (auto* ts = dynamic_cast<obs::TimeSeriesSampler*>(config_.observer)) {
-    EngineImpl<obs::TimeSeriesSampler> impl(config_, *policy_, workload, ts);
+    EngineImpl<obs::TimeSeriesSampler> impl(config_, *policy_, workload, ts,
+                                            oracle);
     return impl.Run();
   }
   EngineImpl<obs::SimObserver> impl(config_, *policy_, workload,
-                                    config_.observer);
+                                    config_.observer, oracle);
   return impl.Run();
 }
 

@@ -18,6 +18,7 @@
 #include "core/scheduler.h"
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
+#include "simcore/choice.h"
 #include "trace/workload.h"
 
 namespace simmr::core {
@@ -74,10 +75,14 @@ class SimulatorEngine {
   SimulatorEngine(SimConfig config, SchedulerPolicy& policy);
 
   /// Replays the trace to completion. Jobs may arrive in any time order
-  /// (the queue sorts them); profiles are validated first.
+  /// (the queue sorts them); profiles are validated first. A non-null
+  /// `oracle` picks among events that share the earliest time (the
+  /// kernel's choice points, as cluster::TestbedOptions::oracle does for
+  /// the testbed); null keeps insertion order.
   /// Throws std::invalid_argument on invalid profiles or a nonpositive slot
   /// count, and std::logic_error if the policy returns an ineligible job.
-  SimResult Run(const trace::WorkloadTrace& workload);
+  SimResult Run(const trace::WorkloadTrace& workload,
+                ScheduleOracle* oracle = nullptr);
 
  private:
   SimConfig config_;

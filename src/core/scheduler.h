@@ -8,16 +8,47 @@
 // their bookkeeping without widening the decision interface.
 #pragma once
 
-#include <span>
-
 #include "core/events.h"
 #include "core/job_state.h"
+#include "core/ready_sets.h"
 
 namespace simmr::core {
 
-/// Arrived, unfinished jobs, in arrival order. Policies read job state
-/// through the JobState pointers; the engine owns all mutation.
-using JobQueue = std::span<const JobState* const>;
+/// The job queue as a policy sees it: a copyable view of the engine's
+/// ReadySets. Iterating it (and size()) covers every arrived, unfinished
+/// job in arrival order, as the paper's jobQ does; a decision reads the
+/// ready sets instead, which hold only the jobs that can take the slot.
+/// Policies read job state through the JobState pointers; the engine owns
+/// all mutation.
+class JobQueue {
+ public:
+  explicit JobQueue(const ReadySets& sets) : sets_(&sets) {}
+
+  std::size_t size() const { return sets_->queued_.size(); }
+  auto begin() const { return sets_->queued_.cbegin(); }
+  auto end() const { return sets_->queued_.cend(); }
+
+  /// Jobs with a pending map task, in queue order and in EDF order.
+  JobSet MapReady() const { return ByQueue(sets_->map_ready_); }
+  JobSet MapReadyByDeadline() const { return ByEdf(sets_->map_ready_edf_); }
+  /// Jobs whose reduce gate is open and that have a pending reduce task.
+  JobSet ReduceReady() const { return ByQueue(sets_->reduce_ready_); }
+  JobSet ReduceReadyByDeadline() const {
+    return ByEdf(sets_->reduce_ready_edf_);
+  }
+  /// Jobs running at least one task (a filler reduce counts), queue order.
+  JobSet SlotHolders() const { return ByQueue(sets_->holders_); }
+
+ private:
+  JobSet ByQueue(const RankSet& set) const {
+    return {set, sets_->by_queue_rank_.data()};
+  }
+  JobSet ByEdf(const RankSet& set) const {
+    return {set, sets_->by_edf_rank_.data()};
+  }
+
+  const ReadySets* sets_;
+};
 
 class SchedulerPolicy {
  public:

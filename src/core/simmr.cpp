@@ -43,8 +43,10 @@ std::vector<double> MeasureSoloCompletions(
   // suppress any installed observer so sinks see only the real replay.
   SimConfig solo_config = config;
   solo_config.observer = nullptr;
+  // One workload for every profile: assigning the next profile reuses the
+  // previous one's buffers.
+  trace::WorkloadTrace solo(1);
   for (const auto& profile : profiles) {
-    trace::WorkloadTrace solo(1);
     solo[0].profile = profile;
     solo[0].arrival = 0.0;
     const SimResult result = Replay(solo, fifo, solo_config);

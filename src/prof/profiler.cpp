@@ -92,6 +92,8 @@ const char* CounterName(Counter counter) {
       return "explore_pruned";
     case Counter::kShuffleFlowVisits:
       return "shuffle_flow_visits";
+    case Counter::kSchedJobsVisited:
+      return "sched_jobs_visited";
     case Counter::kCount_:
       break;
   }

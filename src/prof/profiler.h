@@ -43,6 +43,8 @@ enum class Counter : int {
   kExplorePruned,         // model checker: transitions skipped by sleep sets
   kShuffleFlowVisits,     // testbed shuffle: flows read by Advance and
                           // NextEventTime (cluster/shuffle_model)
+  kSchedJobsVisited,      // jobs a src/sched policy read to make its
+                          // decisions (one add per decision)
   kCount_,
 };
 

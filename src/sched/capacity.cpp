@@ -5,6 +5,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "prof/profiler.h"
+
 namespace simmr::sched {
 
 CapacityPolicy::CapacityPolicy(int cluster_map_slots, int cluster_reduce_slots,
@@ -34,6 +36,8 @@ CapacityPolicy::CapacityPolicy(int cluster_map_slots, int cluster_reduce_slots,
                                        cluster_reduce_slots)));
     queues_.push_back(std::move(state));
   }
+  used_.resize(queues_.size());
+  heads_.resize(queues_.size());
 }
 
 void CapacityPolicy::OnJobArrival(const core::JobState& job, SimTime) {
@@ -47,28 +51,51 @@ void CapacityPolicy::OnJobArrival(const core::JobState& job, SimTime) {
       }
     }
   }
-  job_queue_index_[job.id()] = index;
+  const auto id = static_cast<std::size_t>(job.id());
+  if (queue_of_.size() <= id) queue_of_.resize(id + 1, kNoQueue);
+  queue_of_[id] = index;
 }
 
 void CapacityPolicy::OnJobCompletion(const core::JobState& job, SimTime) {
-  job_queue_index_.erase(job.id());
+  const auto id = static_cast<std::size_t>(job.id());
+  if (id < queue_of_.size()) queue_of_[id] = kNoQueue;
+}
+
+std::size_t CapacityPolicy::QueueIndex(core::JobId job) const {
+  const auto id = static_cast<std::size_t>(job);
+  return id < queue_of_.size() ? queue_of_[id] : kNoQueue;
 }
 
 const std::string& CapacityPolicy::QueueOf(core::JobId job) const {
-  return queues_[job_queue_index_.at(job)].config.name;
+  const std::size_t q = QueueIndex(job);
+  if (q == kNoQueue)
+    throw std::out_of_range("CapacityPolicy::QueueOf: unknown job");
+  return queues_[q].config.name;
 }
 
-template <typename Eligible, typename RunningFn>
+template <typename RunningFn>
 core::JobId CapacityPolicy::Choose(core::JobQueue job_queue,
-                                   Eligible&& eligible, RunningFn&& running,
+                                   core::JobSet ready, RunningFn&& running,
                                    bool map_side) {
-  // Current usage per queue.
-  std::vector<int> used(queues_.size(), 0);
-  for (const core::JobState* job : job_queue) {
-    const auto it = job_queue_index_.find(job->id());
-    if (it == job_queue_index_.end()) continue;
-    used[it->second] += running(*job);
+  std::uint64_t visited = 0;
+  // Current usage per queue: only slot holders add to it.
+  std::fill(used_.begin(), used_.end(), 0);
+  for (const core::JobState* job : job_queue.SlotHolders()) {
+    ++visited;
+    const std::size_t q = QueueIndex(job->id());
+    if (q != kNoQueue) used_[q] += running(*job);
   }
+  // Each queue's FIFO head: its first ready job in queue order.
+  std::fill(heads_.begin(), heads_.end(), nullptr);
+  std::size_t headless = queues_.size();
+  for (const core::JobState* job : ready) {
+    ++visited;
+    const std::size_t q = QueueIndex(job->id());
+    if (q == kNoQueue || heads_[q] != nullptr) continue;
+    heads_[q] = job;
+    if (--headless == 0) break;
+  }
+  prof::Count(prof::Counter::kSchedJobsVisited, visited);
 
   // Pass 1: the most underserved queue still inside its guarantee.
   // Pass 2 (elasticity): any queue with pending work, least-loaded
@@ -79,49 +106,29 @@ core::JobId CapacityPolicy::Choose(core::JobQueue job_queue,
     for (std::size_t q = 0; q < queues_.size(); ++q) {
       const int guaranteed = map_side ? queues_[q].guaranteed_map_slots
                                       : queues_[q].guaranteed_reduce_slots;
-      if (enforce_guarantee && used[q] >= guaranteed) continue;
-      // Does this queue have an eligible job at all?
-      bool has_work = false;
-      for (const core::JobState* job : job_queue) {
-        const auto it = job_queue_index_.find(job->id());
-        if (it == job_queue_index_.end() || it->second != q) continue;
-        if (eligible(*job)) {
-          has_work = true;
-          break;
-        }
-      }
-      if (!has_work) continue;
-      const double ratio = static_cast<double>(used[q]) / guaranteed;
+      if (enforce_guarantee && used_[q] >= guaranteed) continue;
+      if (heads_[q] == nullptr) continue;
+      const double ratio = static_cast<double>(used_[q]) / guaranteed;
       if (best_queue == queues_.size() || ratio < best_ratio) {
         best_queue = q;
         best_ratio = ratio;
       }
     }
-    if (best_queue == queues_.size()) continue;
-    // FIFO within the queue (job_queue is in arrival order).
-    for (const core::JobState* job : job_queue) {
-      const auto it = job_queue_index_.find(job->id());
-      if (it == job_queue_index_.end() || it->second != best_queue) continue;
-      if (eligible(*job)) return job->id();
-    }
+    if (best_queue != queues_.size()) return heads_[best_queue]->id();
   }
   return core::kInvalidJob;
 }
 
 core::JobId CapacityPolicy::ChooseNextMapTask(core::JobQueue job_queue) {
   return Choose(
-      job_queue,
-      [](const core::JobState& j) { return j.HasPendingMap(); },
+      job_queue, job_queue.MapReady(),
       [](const core::JobState& j) { return j.RunningMaps(); },
       /*map_side=*/true);
 }
 
 core::JobId CapacityPolicy::ChooseNextReduceTask(core::JobQueue job_queue) {
   return Choose(
-      job_queue,
-      [](const core::JobState& j) {
-        return j.HasPendingReduce() && j.reduce_gate_open;
-      },
+      job_queue, job_queue.ReduceReady(),
       [](const core::JobState& j) { return j.RunningReduces(); },
       /*map_side=*/false);
 }

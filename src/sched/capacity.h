@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/scheduler.h"
@@ -53,15 +52,24 @@ class CapacityPolicy final : public core::SchedulerPolicy {
     int guaranteed_reduce_slots = 0;
   };
 
-  template <typename Eligible, typename RunningFn>
-  core::JobId Choose(core::JobQueue job_queue, Eligible&& eligible,
+  static constexpr std::size_t kNoQueue = static_cast<std::size_t>(-1);
+
+  template <typename RunningFn>
+  core::JobId Choose(core::JobQueue job_queue, core::JobSet ready,
                      RunningFn&& running, bool map_side);
+
+  /// The queue of a job the policy saw arrive and not yet finish, else
+  /// kNoQueue.
+  std::size_t QueueIndex(core::JobId job) const;
 
   int cluster_map_slots_;
   int cluster_reduce_slots_;
   std::vector<QueueState> queues_;
   QueueClassifier classifier_;
-  std::unordered_map<core::JobId, std::size_t> job_queue_index_;
+  std::vector<std::size_t> queue_of_;  // by job id
+  // Per-decision scratch, one entry per queue.
+  std::vector<int> used_;
+  std::vector<const core::JobState*> heads_;
 };
 
 }  // namespace simmr::sched

@@ -9,7 +9,7 @@
 // modeled: SimMR has no data placement, matching the paper's scope.)
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/scheduler.h"
 
@@ -19,9 +19,10 @@ class FairPolicy final : public core::SchedulerPolicy {
  public:
   const char* Name() const override { return "Fair"; }
 
-  /// Sets a job's weight (default 1.0). Weights must be positive; calls
-  /// for unknown jobs are allowed ahead of arrival.
-  /// Throws std::invalid_argument for nonpositive weights.
+  /// Sets a job's weight (default 1.0) until the job completes. Weights
+  /// must be positive; calls for unknown jobs are allowed ahead of arrival.
+  /// Throws std::invalid_argument for nonpositive weights or a negative
+  /// job id.
   void SetWeight(core::JobId job, double weight);
 
   void OnJobCompletion(const core::JobState& job, SimTime now) override;
@@ -29,9 +30,14 @@ class FairPolicy final : public core::SchedulerPolicy {
   core::JobId ChooseNextReduceTask(core::JobQueue job_queue) override;
 
  private:
+  /// The ready job with the smallest running / weight, ties to the
+  /// earlier arrival, then the smaller id.
+  template <typename Running>
+  core::JobId Choose(core::JobSet ready, Running&& running) const;
+
   double WeightOf(core::JobId job) const;
 
-  std::unordered_map<core::JobId, double> weights_;
+  std::vector<double> weights_;  // by job id; 1.0 when unset
 };
 
 }  // namespace simmr::sched

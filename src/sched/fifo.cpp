@@ -1,20 +1,21 @@
 #include "sched/fifo.h"
 
+#include "prof/profiler.h"
+
 namespace simmr::sched {
 
+core::JobId FrontOf(core::JobSet ready) {
+  const core::JobState* job = ready.front();
+  prof::Count(prof::Counter::kSchedJobsVisited, job != nullptr ? 1 : 0);
+  return job != nullptr ? job->id() : core::kInvalidJob;
+}
+
 core::JobId FifoPolicy::ChooseNextMapTask(core::JobQueue job_queue) {
-  // The engine keeps job_queue in arrival order.
-  for (const core::JobState* job : job_queue) {
-    if (job->HasPendingMap()) return job->id();
-  }
-  return core::kInvalidJob;
+  return FrontOf(job_queue.MapReady());
 }
 
 core::JobId FifoPolicy::ChooseNextReduceTask(core::JobQueue job_queue) {
-  for (const core::JobState* job : job_queue) {
-    if (job->HasPendingReduce() && job->reduce_gate_open) return job->id();
-  }
-  return core::kInvalidJob;
+  return FrontOf(job_queue.ReduceReady());
 }
 
 }  // namespace simmr::sched

@@ -6,6 +6,10 @@
 
 namespace simmr::sched {
 
+/// The first job of an ordered ready set, or kInvalidJob when it is empty:
+/// FIFO's rule, which MaxEDF applies to the EDF order.
+core::JobId FrontOf(core::JobSet ready);
+
 class FifoPolicy final : public core::SchedulerPolicy {
  public:
   const char* Name() const override { return "FIFO"; }

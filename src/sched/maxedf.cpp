@@ -1,42 +1,15 @@
 #include "sched/maxedf.h"
 
+#include "sched/fifo.h"
+
 namespace simmr::sched {
 
-bool EdfOrderBefore(const core::JobState& a, const core::JobState& b) {
-  const bool a_has = a.deadline() > 0.0;
-  const bool b_has = b.deadline() > 0.0;
-  if (a_has != b_has) return a_has;
-  if (a_has && a.deadline() != b.deadline())
-    return a.deadline() < b.deadline();
-  if (a.arrival() != b.arrival()) return a.arrival() < b.arrival();
-  return a.id() < b.id();
-}
-
-namespace {
-
-template <typename Eligible>
-core::JobId PickEarliestDeadline(core::JobQueue job_queue,
-                                 Eligible&& eligible) {
-  const core::JobState* best = nullptr;
-  for (const core::JobState* job : job_queue) {
-    if (!eligible(*job)) continue;
-    if (best == nullptr || EdfOrderBefore(*job, *best)) best = job;
-  }
-  return best != nullptr ? best->id() : core::kInvalidJob;
-}
-
-}  // namespace
-
 core::JobId MaxEdfPolicy::ChooseNextMapTask(core::JobQueue job_queue) {
-  return PickEarliestDeadline(job_queue, [](const core::JobState& j) {
-    return j.HasPendingMap();
-  });
+  return FrontOf(job_queue.MapReadyByDeadline());
 }
 
 core::JobId MaxEdfPolicy::ChooseNextReduceTask(core::JobQueue job_queue) {
-  return PickEarliestDeadline(job_queue, [](const core::JobState& j) {
-    return j.HasPendingReduce() && j.reduce_gate_open;
-  });
+  return FrontOf(job_queue.ReduceReadyByDeadline());
 }
 
 }  // namespace simmr::sched

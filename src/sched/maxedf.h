@@ -7,11 +7,8 @@
 
 namespace simmr::sched {
 
-/// Shared EDF ordering helper: earliest positive deadline first; jobs
-/// without deadlines come after all deadlined jobs, by arrival; final tie
-/// break on id for determinism.
-bool EdfOrderBefore(const core::JobState& a, const core::JobState& b);
-
+/// MaxEDF takes the front of the engine's EDF-ordered ready set
+/// (core::EdfOrderBefore).
 class MaxEdfPolicy final : public core::SchedulerPolicy {
  public:
   const char* Name() const override { return "MaxEDF"; }

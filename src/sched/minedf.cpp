@@ -2,9 +2,31 @@
 
 #include <stdexcept>
 
-#include "sched/maxedf.h"
+#include "prof/profiler.h"
 
 namespace simmr::sched {
+namespace {
+
+/// The first job in EDF order still below its wanted cap. A job at a cap
+/// of at least one slot (every ARIA allocation is) holds that many slots,
+/// so the walk passes at most one job per running task.
+template <typename UnderCap>
+core::JobId FirstUnderCap(core::JobSet ready_by_deadline,
+                          UnderCap&& under_cap) {
+  core::JobId chosen = core::kInvalidJob;
+  std::uint64_t visited = 0;
+  for (const core::JobState* job : ready_by_deadline) {
+    ++visited;
+    if (under_cap(*job)) {
+      chosen = job->id();
+      break;
+    }
+  }
+  prof::Count(prof::Counter::kSchedJobsVisited, visited);
+  return chosen;
+}
+
+}  // namespace
 
 MinEdfPolicy::MinEdfPolicy(int cluster_map_slots, int cluster_reduce_slots)
     : cluster_map_slots_(cluster_map_slots),
@@ -19,8 +41,10 @@ void MinEdfPolicy::PresetWantedSlots(core::JobId job,
 }
 
 void MinEdfPolicy::OnJobArrival(const core::JobState& job, SimTime now) {
+  const auto id = static_cast<std::size_t>(job.id());
+  if (wanted_.size() <= id) wanted_.resize(id + 1);
   if (const auto it = preset_.find(job.id()); it != preset_.end()) {
-    wanted_[job.id()] = it->second;
+    wanted_[id] = it->second;
     return;
   }
   SlotAllocation alloc;
@@ -34,44 +58,44 @@ void MinEdfPolicy::OnJobArrival(const core::JobState& job, SimTime now) {
     alloc.reduce_slots = cluster_reduce_slots_;
     alloc.feasible = job.deadline() <= 0.0;
   }
-  wanted_[job.id()] = alloc;
+  wanted_[id] = alloc;
 }
 
 void MinEdfPolicy::OnJobCompletion(const core::JobState& job, SimTime) {
-  wanted_.erase(job.id());
+  const auto id = static_cast<std::size_t>(job.id());
+  if (id < wanted_.size()) wanted_[id].reset();
+}
+
+const SlotAllocation* MinEdfPolicy::Wanted(core::JobId job) const {
+  const auto id = static_cast<std::size_t>(job);
+  return id < wanted_.size() && wanted_[id] ? &*wanted_[id] : nullptr;
 }
 
 core::JobId MinEdfPolicy::ChooseNextMapTask(core::JobQueue job_queue) {
-  const core::JobState* best = nullptr;
-  for (const core::JobState* job : job_queue) {
-    if (!job->HasPendingMap()) continue;
-    const auto it = wanted_.find(job->id());
-    const int cap =
-        it != wanted_.end() ? it->second.map_slots : cluster_map_slots_;
-    if (job->RunningMaps() >= cap) continue;
-    if (best == nullptr || EdfOrderBefore(*job, *best)) best = job;
-  }
-  return best != nullptr ? best->id() : core::kInvalidJob;
+  return FirstUnderCap(job_queue.MapReadyByDeadline(),
+                       [this](const core::JobState& job) {
+                         const SlotAllocation* wanted = Wanted(job.id());
+                         return job.RunningMaps() <
+                                (wanted != nullptr ? wanted->map_slots
+                                                   : cluster_map_slots_);
+                       });
 }
 
 core::JobId MinEdfPolicy::ChooseNextReduceTask(core::JobQueue job_queue) {
-  const core::JobState* best = nullptr;
-  for (const core::JobState* job : job_queue) {
-    if (!job->HasPendingReduce() || !job->reduce_gate_open) continue;
-    const auto it = wanted_.find(job->id());
-    const int cap =
-        it != wanted_.end() ? it->second.reduce_slots : cluster_reduce_slots_;
-    if (job->RunningReduces() >= cap) continue;
-    if (best == nullptr || EdfOrderBefore(*job, *best)) best = job;
-  }
-  return best != nullptr ? best->id() : core::kInvalidJob;
+  return FirstUnderCap(job_queue.ReduceReadyByDeadline(),
+                       [this](const core::JobState& job) {
+                         const SlotAllocation* wanted = Wanted(job.id());
+                         return job.RunningReduces() <
+                                (wanted != nullptr ? wanted->reduce_slots
+                                                   : cluster_reduce_slots_);
+                       });
 }
 
 SlotAllocation MinEdfPolicy::WantedSlots(core::JobId job) const {
-  const auto it = wanted_.find(job);
-  if (it == wanted_.end())
+  const SlotAllocation* wanted = Wanted(job);
+  if (wanted == nullptr)
     throw std::out_of_range("MinEdfPolicy::WantedSlots: unknown job");
-  return it->second;
+  return *wanted;
 }
 
 }  // namespace simmr::sched

@@ -13,7 +13,9 @@
 // back of the EDF order).
 #pragma once
 
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "sched/aria_model.h"
@@ -44,10 +46,13 @@ class MinEdfPolicy final : public core::SchedulerPolicy {
   void PresetWantedSlots(core::JobId job, SlotAllocation allocation);
 
  private:
+  /// The job's allocation while it is queued, else nullptr.
+  const SlotAllocation* Wanted(core::JobId job) const;
+
   int cluster_map_slots_;
   int cluster_reduce_slots_;
   std::unordered_map<core::JobId, SlotAllocation> preset_;
-  std::unordered_map<core::JobId, SlotAllocation> wanted_;
+  std::vector<std::optional<SlotAllocation>> wanted_;  // by job id
 };
 
 }  // namespace simmr::sched

@@ -1,5 +1,6 @@
 #include "sched/preemptive_maxedf.h"
 
+#include "prof/profiler.h"
 #include "sched/maxedf.h"
 
 namespace simmr::sched {
@@ -22,14 +23,18 @@ core::JobId PreemptiveMaxEdfPolicy::ChooseReducePreemptionVictim(
     core::JobQueue job_queue, const core::JobState& claimant) {
   // Kill a filler of the job with the latest deadline — but only when that
   // job is strictly less urgent than the claimant (EDF order), so
-  // preemption can never ping-pong between equally urgent jobs.
+  // preemption can never ping-pong between equally urgent jobs. A filler
+  // holds a reduce slot, so only slot holders can be victims.
   const core::JobState* victim = nullptr;
-  for (const core::JobState* job : job_queue) {
+  std::uint64_t visited = 0;
+  for (const core::JobState* job : job_queue.SlotHolders()) {
+    ++visited;
     if (job->id() == claimant.id()) continue;
     if (job->pending_fillers.empty()) continue;
-    if (!EdfOrderBefore(claimant, *job)) continue;  // claimant not more urgent
-    if (victim == nullptr || EdfOrderBefore(*victim, *job)) victim = job;
+    if (!core::EdfOrderBefore(claimant, *job)) continue;
+    if (victim == nullptr || core::EdfOrderBefore(*victim, *job)) victim = job;
   }
+  prof::Count(prof::Counter::kSchedJobsVisited, visited);
   return victim != nullptr ? victim->id() : core::kInvalidJob;
 }
 

@@ -31,11 +31,12 @@ JobProfile SynthesizeProfile(const SyntheticJobSpec& spec, Rng& rng) {
     p.map_durations.push_back(draw_nonneg(*spec.map_duration));
 
   const int first_wave = std::clamp(spec.first_wave_size, 0, spec.num_reduces);
-  const Distribution& first_dist = spec.first_shuffle_duration
-                                       ? *spec.first_shuffle_duration
-                                       : *spec.typical_shuffle_duration;
+  // Null for a map-only spec, which draws no shuffle sample.
+  const Distribution* first_dist = spec.first_shuffle_duration
+                                       ? spec.first_shuffle_duration.get()
+                                       : spec.typical_shuffle_duration.get();
   for (int i = 0; i < first_wave; ++i)
-    p.first_shuffle_durations.push_back(draw_nonneg(first_dist));
+    p.first_shuffle_durations.push_back(draw_nonneg(*first_dist));
   for (int i = first_wave; i < spec.num_reduces; ++i)
     p.typical_shuffle_durations.push_back(
         draw_nonneg(*spec.typical_shuffle_duration));

@@ -1,16 +1,23 @@
 // Scaling gates: work per event must not grow with the size of the run.
 //
 // Each gate runs one simulator on a workload N, 2N and 4N times over and
-// compares an exact profiler work count per dispatched event. The counts
-// are exact, so a gate has no timing and no host dependence. A bound is
-// tightened, never loosened, as the paths it covers get cheaper.
+// compares an exact profiler work count per dispatched event (or per
+// scheduler decision). The counts are exact, so a gate has no timing and
+// no host dependence. A bound is tightened, never loosened, as the paths
+// it covers get cheaper.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "backend/session.h"
 #include "cluster/cluster_sim.h"
+#include "core/simmr.h"
 #include "prof/profiler.h"
+#include "trace/synthetic_tracegen.h"
+#include "trace/workload.h"
 
 namespace simmr::prof {
 namespace {
@@ -49,6 +56,99 @@ TEST(ScalingGate, TestbedShuffleVisitsPerEventStayFlat) {
   EXPECT_LE(four_times, 1.25 * base)
       << "visits per event: 6 jobs " << base << ", 12 jobs " << twice
       << ", 24 jobs " << four_times;
+}
+
+/// Forwards every call and counts the decisions.
+class DecisionCounter final : public core::SchedulerPolicy {
+ public:
+  explicit DecisionCounter(core::SchedulerPolicy& inner) : inner_(&inner) {}
+
+  const char* Name() const override { return inner_->Name(); }
+  void OnJobArrival(const core::JobState& job, SimTime now) override {
+    inner_->OnJobArrival(job, now);
+  }
+  void OnJobCompletion(const core::JobState& job, SimTime now) override {
+    inner_->OnJobCompletion(job, now);
+  }
+  core::JobId ChooseNextMapTask(core::JobQueue queue) override {
+    ++decisions_;
+    return inner_->ChooseNextMapTask(queue);
+  }
+  core::JobId ChooseNextReduceTask(core::JobQueue queue) override {
+    ++decisions_;
+    return inner_->ChooseNextReduceTask(queue);
+  }
+
+  std::uint64_t decisions() const { return decisions_; }
+
+ private:
+  core::SchedulerPolicy* inner_;
+  std::uint64_t decisions_ = 0;
+};
+
+constexpr int kMapSlots = 16;
+constexpr int kReduceSlots = 8;
+
+/// Jobs a policy visits per decision when it replays `jobs` jobs arriving
+/// every 5 s on average, with deadlines at 1.5x their solo time, on a
+/// 16+8-slot cluster: arrivals outpace the cluster, so the queue grows
+/// with the job count.
+double PolicyVisitsPerDecision(const std::string& policy, int jobs) {
+  Rng rng(7);
+  std::vector<trace::JobProfile> pool;
+  for (int i = 0; i < 6; ++i) {
+    trace::SyntheticJobSpec spec;
+    spec.app_name = "app" + std::to_string(i);
+    spec.num_maps = 8 + 8 * i;
+    spec.num_reduces = 2 + i;
+    spec.first_wave_size = 2;
+    spec.map_duration = std::make_shared<UniformDist>(5.0, 25.0);
+    spec.first_shuffle_duration = std::make_shared<UniformDist>(1.0, 4.0);
+    spec.typical_shuffle_duration = std::make_shared<UniformDist>(2.0, 8.0);
+    spec.reduce_duration = std::make_shared<UniformDist>(2.0, 10.0);
+    pool.push_back(trace::SynthesizeProfile(spec, rng));
+  }
+  core::SimConfig config;
+  config.map_slots = kMapSlots;
+  config.reduce_slots = kReduceSlots;
+  const std::vector<double> solos = core::MeasureSoloCompletions(pool, config);
+  trace::WorkloadParams params;
+  params.num_jobs = jobs;
+  params.mean_interarrival_s = 5.0;
+  params.deadline_factor = 1.5;
+  const trace::WorkloadTrace workload =
+      trace::MakeWorkload(pool, solos, params, rng);
+
+  const std::unique_ptr<core::SchedulerPolicy> inner =
+      backend::MakePolicy(policy, kMapSlots, kReduceSlots);
+  DecisionCounter counter(*inner);
+  Reset();
+  Arm();
+  const core::SimResult result = core::Replay(workload, counter, config);
+  Disarm();
+  const std::uint64_t visits = Value(Counter::kSchedJobsVisited);
+  Reset();
+  EXPECT_EQ(result.jobs.size(), workload.size()) << policy;
+  EXPECT_GT(counter.decisions(), 0u) << policy;
+  return static_cast<double>(visits) /
+         static_cast<double>(counter.decisions());
+}
+
+TEST(ScalingGate, PolicyJobsVisitedPerDecisionStayFlat) {
+  if (!SIMMR_PROF_COMPILED) GTEST_SKIP() << "profiler compiled out";
+  // A policy that scans the queue visits O(backlog) jobs per decision; one
+  // that reads the engine's ready sets visits at most the jobs holding
+  // slots plus one, whatever the backlog.
+  for (const char* policy : {"fifo", "maxedf", "minedf", "fair", "capacity"}) {
+    const double base = PolicyVisitsPerDecision(policy, 60);
+    const double twice = PolicyVisitsPerDecision(policy, 120);
+    const double four_times = PolicyVisitsPerDecision(policy, 240);
+    EXPECT_GT(base, 0.0) << policy;
+    EXPECT_LE(twice, 1.25 * base) << policy;
+    EXPECT_LE(four_times, 1.25 * base)
+        << policy << " visits per decision: 60 jobs " << base
+        << ", 120 jobs " << twice << ", 240 jobs " << four_times;
+  }
 }
 
 }  // namespace

@@ -90,6 +90,7 @@ TEST(FairPolicyTest, RejectsNonpositiveWeight) {
   FairPolicy fair;
   EXPECT_THROW(fair.SetWeight(0, 0.0), std::invalid_argument);
   EXPECT_THROW(fair.SetWeight(0, -1.0), std::invalid_argument);
+  EXPECT_THROW(fair.SetWeight(-1, 1.0), std::invalid_argument);  // no job
 }
 
 TEST(FairPolicyTest, SingleJobRunsUnimpeded) {
