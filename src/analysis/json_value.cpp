@@ -1,7 +1,10 @@
 #include "analysis/json_value.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
+
+#include "obs/json_line.h"
 
 namespace simmr::analysis {
 namespace {
@@ -195,25 +198,20 @@ class Parser {
     }
   }
 
+  /// The JSON number grammar (RFC 8259), converted straight from the
+  /// text: "-.5", "01", "1." and "0x10" are malformed, and a number beyond
+  /// the double range ("1e400") is an error rather than an infinity.
   JsonValue ParseNumber() {
     const std::size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      pos_ = start;
-      Fail("bad number");
-    }
+    const std::size_t length = obs::ScanJsonNumber(text_.substr(start));
+    if (length == 0) Fail("bad number");
+    double value = 0.0;
+    const char* first = text_.data() + start;
+    const std::from_chars_result r =
+        std::from_chars(first, first + length, value);
+    if (r.ec != std::errc() || r.ptr != first + length)
+      Fail("number out of range");
+    pos_ += length;
     return JsonValue::MakeNumber(value);
   }
 

@@ -1,16 +1,18 @@
 // A small recursive JSON reader for the analysis layer.
 //
-// The event-log loader (run_record.cpp) parses flat one-line objects with
-// a purpose-built scanner; the sweep (simmr.sweep.v1), time-series
-// (simmr.timeseries.v1) and exploration (simmr.explore.v1) documents are
-// nested, with objects inside arrays inside objects. This is the full
+// The event-log and time-series readers take their one-line objects apart
+// with obs/json_line.h; the sweep (simmr.sweep.v1) and exploration
+// (simmr.explore.v1) documents are nested, with objects inside arrays
+// inside objects. This is the full
 // recursive parser those documents need: values, arrays, objects
 // (insertion-ordered), string escapes including \uXXXX, and a depth limit
 // so hostile input fails instead of overflowing the stack.
 //
-// Parse errors throw std::runtime_error with a byte offset. Numbers are
-// doubles (the documents only carry counts, seconds and sim times; 2^53
-// integer precision is more than they need).
+// Parse errors throw std::runtime_error with a byte offset. Numbers follow
+// the JSON grammar strictly (no "-.5", "01", "1." or hex) and are doubles
+// read with std::from_chars; one beyond the double range is an error (the
+// documents only carry counts, seconds and sim times; 2^53 integer
+// precision is more than they need).
 #pragma once
 
 #include <cstddef>

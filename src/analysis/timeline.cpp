@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
+#include <iterator>
 #include <stdexcept>
 
-#include "analysis/json_value.h"
 #include "obs/json.h"
+#include "obs/json_line.h"
 
 namespace simmr::analysis {
 namespace {
@@ -24,50 +24,210 @@ std::string Fmt(const char* format, ...) {
   return buf;
 }
 
-std::uint64_t CountOr(const JsonValue& obj, std::string_view key) {
-  const double v = obj.NumberOr(key, 0.0);
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
+/// Counts and window indices: non-negative integers that a double holds
+/// exactly.
+constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 53;
+
+/// Where a window member goes.
+enum class Field : std::uint8_t {
+  kWindow,
+  kT0,
+  kT1,
+  kPartial,
+  kEvents,
+  kQueueDepth,
+  kQueueDepthMax,
+  kJobsArrived,
+  kJobsCompleted,
+  kJobsActive,
+  kRunningMaps,
+  kRunningMapsMax,
+  kRunningReduces,
+  kRunningReducesMax,
+  kMapsCompleted,
+  kReducesCompleted,
+  kTaskFailures,
+  kMapUtilization,
+  kReduceUtilization,
+  kMapP50,
+  kMapP95,
+  kMapP99,
+  kReduceP50,
+  kReduceP95,
+  kReduceP99,
+  kNumber,   // a number the report does not use
+  kMetrics,  // the registry snapshot object, checked and skipped
+};
+
+struct WindowKey {
+  std::string_view name;
+  Field field;
+};
+
+/// A window line's keys, in the order TimeSeriesSampler writes them; every
+/// one is optional.
+constexpr WindowKey kWindowKeys[] = {
+    {"window", Field::kWindow},
+    {"t0", Field::kT0},
+    {"t1", Field::kT1},
+    {"partial", Field::kPartial},
+    {"events", Field::kEvents},
+    {"events_per_sim_s", Field::kNumber},
+    {"queue_depth", Field::kQueueDepth},
+    {"queue_depth_max", Field::kQueueDepthMax},
+    {"jobs_arrived", Field::kJobsArrived},
+    {"jobs_completed", Field::kJobsCompleted},
+    {"jobs_active", Field::kJobsActive},
+    {"running_maps", Field::kRunningMaps},
+    {"running_maps_max", Field::kRunningMapsMax},
+    {"running_reduces", Field::kRunningReduces},
+    {"running_reduces_max", Field::kRunningReducesMax},
+    {"maps_completed", Field::kMapsCompleted},
+    {"reduces_completed", Field::kReducesCompleted},
+    {"task_failures", Field::kTaskFailures},
+    {"map_slot_seconds", Field::kNumber},
+    {"reduce_slot_seconds", Field::kNumber},
+    {"map_utilization", Field::kMapUtilization},
+    {"reduce_utilization", Field::kReduceUtilization},
+    {"map_duration_p50", Field::kMapP50},
+    {"map_duration_p95", Field::kMapP95},
+    {"map_duration_p99", Field::kMapP99},
+    {"reduce_duration_p50", Field::kReduceP50},
+    {"reduce_duration_p95", Field::kReduceP95},
+    {"reduce_duration_p99", Field::kReduceP99},
+    {"metrics", Field::kMetrics},
+};
+constexpr std::size_t kNumWindowKeys = std::size(kWindowKeys);
+
+constexpr std::string_view kHeaderKeys[] = {"schema", "tool", "scenario",
+                                            "simulator", "window_s"};
+
+/// Finds each member's key, starting after the previous match: the
+/// writer's order makes that the first comparison.
+class KeyCursor {
+ public:
+  std::size_t Find(const obs::JsonMember& m) {
+    for (std::size_t tried = 0; tried < kNumWindowKeys; ++tried) {
+      const std::size_t k = next_;
+      next_ = next_ + 1 == kNumWindowKeys ? 0 : next_ + 1;
+      if (kWindowKeys[k].name == m.key) return k;
+    }
+    obs::ThrowUnknownKey(m, "a window");
+  }
+
+ private:
+  std::size_t next_ = 0;
+};
+
+std::uint64_t Count(const obs::JsonMember& m) {
+  return obs::JsonMemberUnsigned(m, kMaxCount);
 }
 
-TimelineWindow ParseWindow(const JsonValue& obj) {
+TimelineWindow ParseWindow(std::string_view line) {
+  obs::JsonMember members[kNumWindowKeys];
+  const std::size_t n =
+      obs::SplitJsonLine(line, members, kNumWindowKeys,
+                         /*nested_objects=*/true);
   TimelineWindow w;
-  w.index = static_cast<std::int64_t>(obj.NumberOr("window", 0.0));
-  w.t0 = obj.NumberOr("t0", 0.0);
-  w.t1 = obj.NumberOr("t1", 0.0);
-  if (const JsonValue* partial = obj.Find("partial"))
-    w.partial = partial->IsBool() && partial->AsBool();
-  w.events = CountOr(obj, "events");
-  w.queue_depth = obj.NumberOr("queue_depth", 0.0);
-  w.queue_depth_max = obj.NumberOr("queue_depth_max", 0.0);
-  w.jobs_arrived = CountOr(obj, "jobs_arrived");
-  w.jobs_completed = CountOr(obj, "jobs_completed");
-  w.jobs_active = CountOr(obj, "jobs_active");
-  w.running_maps = obj.NumberOr("running_maps", 0.0);
-  w.running_maps_max = obj.NumberOr("running_maps_max", 0.0);
-  w.running_reduces = obj.NumberOr("running_reduces", 0.0);
-  w.running_reduces_max = obj.NumberOr("running_reduces_max", 0.0);
-  w.maps_completed = CountOr(obj, "maps_completed");
-  w.reduces_completed = CountOr(obj, "reduces_completed");
-  w.task_failures = CountOr(obj, "task_failures");
-  if (obj.Find("map_utilization") != nullptr ||
-      obj.Find("reduce_utilization") != nullptr) {
-    w.has_utilization = true;
-    w.map_utilization = obj.NumberOr("map_utilization", 0.0);
-    w.reduce_utilization = obj.NumberOr("reduce_utilization", 0.0);
-  }
-  if (obj.Find("map_duration_p50") != nullptr) {
-    w.has_map_durations = true;
-    w.map_p50 = obj.NumberOr("map_duration_p50", 0.0);
-    w.map_p95 = obj.NumberOr("map_duration_p95", 0.0);
-    w.map_p99 = obj.NumberOr("map_duration_p99", 0.0);
-  }
-  if (obj.Find("reduce_duration_p50") != nullptr) {
-    w.has_reduce_durations = true;
-    w.reduce_p50 = obj.NumberOr("reduce_duration_p50", 0.0);
-    w.reduce_p95 = obj.NumberOr("reduce_duration_p95", 0.0);
-    w.reduce_p99 = obj.NumberOr("reduce_duration_p99", 0.0);
+  KeyCursor cursor;
+  std::uint32_t seen = 0;
+  static_assert(kNumWindowKeys <= 32);
+  for (std::size_t i = 0; i < n; ++i) {
+    const obs::JsonMember& m = members[i];
+    const std::size_t k = cursor.Find(m);
+    if ((seen >> k & 1) != 0) obs::ThrowDuplicateKey(m);
+    seen |= std::uint32_t{1} << k;
+    switch (kWindowKeys[k].field) {
+      case Field::kWindow:
+        w.index = static_cast<std::int64_t>(Count(m));
+        break;
+      case Field::kT0: w.t0 = obs::JsonMemberDouble(m); break;
+      case Field::kT1: w.t1 = obs::JsonMemberDouble(m); break;
+      case Field::kPartial: w.partial = obs::JsonMemberBool(m); break;
+      case Field::kEvents: w.events = Count(m); break;
+      case Field::kQueueDepth: w.queue_depth = obs::JsonMemberDouble(m); break;
+      case Field::kQueueDepthMax:
+        w.queue_depth_max = obs::JsonMemberDouble(m);
+        break;
+      case Field::kJobsArrived: w.jobs_arrived = Count(m); break;
+      case Field::kJobsCompleted: w.jobs_completed = Count(m); break;
+      case Field::kJobsActive: w.jobs_active = Count(m); break;
+      case Field::kRunningMaps:
+        w.running_maps = obs::JsonMemberDouble(m);
+        break;
+      case Field::kRunningMapsMax:
+        w.running_maps_max = obs::JsonMemberDouble(m);
+        break;
+      case Field::kRunningReduces:
+        w.running_reduces = obs::JsonMemberDouble(m);
+        break;
+      case Field::kRunningReducesMax:
+        w.running_reduces_max = obs::JsonMemberDouble(m);
+        break;
+      case Field::kMapsCompleted: w.maps_completed = Count(m); break;
+      case Field::kReducesCompleted: w.reduces_completed = Count(m); break;
+      case Field::kTaskFailures: w.task_failures = Count(m); break;
+      case Field::kMapUtilization:
+        w.has_utilization = true;
+        w.map_utilization = obs::JsonMemberDouble(m);
+        break;
+      case Field::kReduceUtilization:
+        w.has_utilization = true;
+        w.reduce_utilization = obs::JsonMemberDouble(m);
+        break;
+      case Field::kMapP50:
+        w.has_map_durations = true;
+        w.map_p50 = obs::JsonMemberDouble(m);
+        break;
+      case Field::kMapP95: w.map_p95 = obs::JsonMemberDouble(m); break;
+      case Field::kMapP99: w.map_p99 = obs::JsonMemberDouble(m); break;
+      case Field::kReduceP50:
+        w.has_reduce_durations = true;
+        w.reduce_p50 = obs::JsonMemberDouble(m);
+        break;
+      case Field::kReduceP95: w.reduce_p95 = obs::JsonMemberDouble(m); break;
+      case Field::kReduceP99: w.reduce_p99 = obs::JsonMemberDouble(m); break;
+      case Field::kNumber: obs::JsonMemberDouble(m); break;
+      case Field::kMetrics:
+        if (m.type != obs::JsonMember::Type::kObject)
+          throw obs::JsonLineError(m.offset, "'metrics': expected an object");
+        break;
+    }
   }
   return w;
+}
+
+/// The header line's provenance; the schema is required, the rest keep
+/// their empty defaults when absent.
+void ParseHeader(std::string_view line, Timeline& t) {
+  constexpr std::size_t kKeys = std::size(kHeaderKeys);
+  obs::JsonMember members[kKeys];
+  const std::size_t n = obs::SplitJsonLine(line, members, kKeys);
+  bool seen[kKeys] = {};
+  std::string unescaped;
+  for (std::size_t i = 0; i < n; ++i) {
+    const obs::JsonMember& m = members[i];
+    std::size_t k = 0;
+    while (k < kKeys && kHeaderKeys[k] != m.key) ++k;
+    if (k == kKeys) obs::ThrowUnknownKey(m, "the header");
+    if (seen[k]) obs::ThrowDuplicateKey(m);
+    seen[k] = true;
+    if (k == 4) {
+      t.window_s = obs::JsonMemberDouble(m);
+      continue;
+    }
+    const std::string value(obs::JsonMemberString(m, unescaped));
+    if (k == 0 && value != "simmr.timeseries.v1")
+      throw obs::JsonLineError(
+          m.offset,
+          "expected a simmr.timeseries.v1 header, got schema '" + value + "'");
+    if (k == 1) t.tool = value;
+    if (k == 2) t.scenario = value;
+    if (k == 3) t.simulator = value;
+  }
+  if (!seen[0])
+    throw obs::JsonLineError(
+        0, "expected a simmr.timeseries.v1 header, got schema ''");
 }
 
 /// Appends one kind's straggler check for a window.
@@ -202,39 +362,35 @@ std::string RenderText(const Timeline& t, const TimelineOptions& opt) {
 }  // namespace
 
 Timeline LoadTimeline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) throw std::runtime_error("cannot open " + path);
   Timeline t;
-  std::string line;
   std::size_t line_no = 0;
   bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue obj;
-    try {
-      obj = JsonValue::Parse(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(line_no) + ": " +
-                               e.what());
-    }
-    if (!saw_header) {
-      const std::string schema = obj.StringOr("schema", "");
-      if (schema != "simmr.timeseries.v1") {
-        throw std::runtime_error(
-            path + ":" + std::to_string(line_no) +
-            ": expected a simmr.timeseries.v1 header, got schema '" + schema +
-            "'");
+  bool read_ok = false;
+  try {
+    read_ok = obs::ForEachFileLine(file, [&](std::string_view line) {
+      ++line_no;
+      if (line.empty()) return;
+      try {
+        if (saw_header) {
+          t.windows.push_back(ParseWindow(line));
+        } else {
+          ParseHeader(line, t);
+          saw_header = true;
+        }
+      } catch (const obs::JsonLineError& e) {
+        throw std::runtime_error(path + ":" + std::to_string(line_no) + ":" +
+                                 std::to_string(e.offset()) + ": " +
+                                 e.what());
       }
-      t.tool = obj.StringOr("tool", "");
-      t.scenario = obj.StringOr("scenario", "");
-      t.simulator = obj.StringOr("simulator", "");
-      t.window_s = obj.NumberOr("window_s", 0.0);
-      saw_header = true;
-      continue;
-    }
-    t.windows.push_back(ParseWindow(obj));
+    });
+  } catch (...) {
+    std::fclose(file);
+    throw;
   }
+  std::fclose(file);
+  if (!read_ok) throw std::runtime_error("failed reading " + path);
   if (!saw_header)
     throw std::runtime_error(path + ": empty document (no header line)");
   return t;

@@ -5,11 +5,12 @@
 // summary: the windows whose task-duration p99 diverges from the median,
 // the signature of a few tasks running far longer than their peers.
 //
-// The loader uses the analysis layer's recursive JSON reader, so it
-// tolerates optional fields (percentiles appear only in windows that
-// completed tasks; utilization only when the writer knew the slot
-// configuration) and ignores fields it does not model (the "metrics"
-// registry snapshot).
+// The loader reads each window line directly (obs/json_line.h). Every
+// field is optional — percentiles appear only in windows that completed
+// tasks, utilization only when the writer knew the slot configuration —
+// but a field that is present must be one the writer emits, once, with
+// the right type: counts and the window index are integers in [0, 2^53].
+// The "metrics" registry snapshot is checked for syntax and skipped.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,8 @@ struct TimelineOptions {
 };
 
 /// Parses a simmr.timeseries.v1 file. Throws std::runtime_error on a
-/// missing file, a bad schema tag, or a malformed line (named by number).
+/// missing file, a bad schema tag, or a malformed line, naming
+/// "<path>:<line>:<offset>".
 Timeline LoadTimeline(const std::string& path);
 
 /// The straggler windows of a timeline under the options' thresholds, in

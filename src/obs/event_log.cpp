@@ -1,22 +1,21 @@
 #include "obs/event_log.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
+#include <istream>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 
-#include "obs/json.h"
+#include "obs/json_line.h"
 
 namespace simmr::obs {
 namespace {
 
-const char* const kSchema = "simmr.eventlog.v1";
+constexpr std::string_view kSchema = "simmr.eventlog.v1";
 
 }  // namespace
 
@@ -77,26 +76,20 @@ std::optional<LogEvent::Kind> ParseLogEventKind(std::string_view name) {
   return std::nullopt;
 }
 
-const char* EventLog::Intern(std::string_view s) {
-  if (arena_ == nullptr)
-    arena_ = std::make_shared<std::vector<std::unique_ptr<std::string>>>();
-  for (const auto& owned : *arena_) {
-    if (*owned == s) return owned->c_str();
-  }
-  arena_->push_back(std::make_unique<std::string>(s));
-  return arena_->back()->c_str();
-}
+struct EventLog::Arena {
+  std::vector<std::unique_ptr<std::string>> strings;
+  /// Views of `strings`, whose characters never move.
+  std::unordered_map<std::string_view, const char*> index;
+};
 
-std::string ExactJsonNumber(double value) {
-  if (std::isnan(value)) return "\"NaN\"";
-  if (value == std::numeric_limits<double>::infinity()) return "\"+Inf\"";
-  if (value == -std::numeric_limits<double>::infinity()) return "\"-Inf\"";
-  char buf[40];
-  for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
+const char* EventLog::Intern(std::string_view s) {
+  if (arena_ == nullptr) arena_ = std::make_shared<Arena>();
+  const auto found = arena_->index.find(s);
+  if (found != arena_->index.end()) return found->second;
+  arena_->strings.push_back(std::make_unique<std::string>(s));
+  const std::string& owned = *arena_->strings.back();
+  arena_->index.emplace(owned, owned.c_str());
+  return owned.c_str();
 }
 
 void EventLogObserver::Clear() {
@@ -112,364 +105,389 @@ const char* EventLogObserver::InternName(std::string_view s) {
 
 namespace {
 
-void AppendHeaderLine(std::string& out, const EventLogHeader& header) {
-  out += "{\"schema\":\"";
-  out += kSchema;
-  out += "\",\"tool\":\"";
-  out += JsonEscape(header.tool);
-  out += "\",\"scenario\":\"";
-  out += JsonEscape(header.scenario);
-  out += "\",\"simulator\":\"";
-  out += JsonEscape(header.simulator);
-  out += "\"}\n";
+void WriteHeaderLine(JsonWriter& out, const EventLogHeader& header) {
+  out.Raw("{\"schema\":\"");
+  out.Raw(kSchema);
+  out.Raw("\",\"tool\":");
+  out.String(header.tool);
+  out.Raw(",\"scenario\":");
+  out.String(header.scenario);
+  out.Raw(",\"simulator\":");
+  out.String(header.simulator);
+  out.Raw("}\n");
 }
 
-void AppendEventLine(std::string& out, const LogEvent& ev) {
-  out += "{\"k\":\"";
-  out += LogEventKindName(ev.kind);
-  out += "\",\"t\":";
-  out += ExactJsonNumber(ev.t);
+/// ,"job":J,"kind":"map|reduce","index":I
+void WriteTaskKey(JsonWriter& out, const LogEvent& ev) {
+  out.Raw(",\"job\":");
+  out.Int(ev.job);
+  out.Raw(ev.task_kind == TaskKind::kMap
+              ? std::string_view(",\"kind\":\"map\",\"index\":")
+              : ",\"kind\":\"reduce\",\"index\":");
+  out.Int(ev.index);
+}
+
+void WriteEventLine(JsonWriter& out, const LogEvent& ev) {
+  out.Raw("{\"k\":\"");
+  out.Raw(LogEventKindName(ev.kind));
+  out.Raw("\",\"t\":");
+  out.ExactNumber(ev.t);
   switch (ev.kind) {
     case LogEvent::Kind::kDequeue:
-      out += ",\"type\":\"";
-      out += JsonEscape(ev.detail);
-      out += "\",\"depth\":";
-      out += std::to_string(ev.queue_depth);
+      out.Raw(",\"type\":");
+      out.String(ev.detail);
+      out.Raw(",\"depth\":");
+      out.UInt(ev.queue_depth);
       break;
     case LogEvent::Kind::kJobArrival:
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
-      out += ",\"name\":\"";
-      out += JsonEscape(ev.name);
-      out += "\",\"deadline\":";
-      out += ExactJsonNumber(ev.deadline);
+      out.Raw(",\"job\":");
+      out.Int(ev.job);
+      out.Raw(",\"name\":");
+      out.String(ev.name);
+      out.Raw(",\"deadline\":");
+      out.ExactNumber(ev.deadline);
       break;
     case LogEvent::Kind::kJobCompletion:
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
+      out.Raw(",\"job\":");
+      out.Int(ev.job);
       break;
     case LogEvent::Kind::kTaskLaunch:
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
-      out += ",\"kind\":\"";
-      out += TaskKindName(ev.task_kind);
-      out += "\",\"index\":";
-      out += std::to_string(ev.index);
+      WriteTaskKey(out, ev);
       break;
     case LogEvent::Kind::kPhaseTransition:
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
-      out += ",\"kind\":\"";
-      out += TaskKindName(ev.task_kind);
-      out += "\",\"index\":";
-      out += std::to_string(ev.index);
-      out += ",\"phase\":\"";
-      out += JsonEscape(ev.detail);
-      out += "\"";
+      WriteTaskKey(out, ev);
+      out.Raw(",\"phase\":");
+      out.String(ev.detail);
       break;
     case LogEvent::Kind::kTaskCompletion:
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
-      out += ",\"kind\":\"";
-      out += TaskKindName(ev.task_kind);
-      out += "\",\"index\":";
-      out += std::to_string(ev.index);
-      out += ",\"start\":";
-      out += ExactJsonNumber(ev.timing.start);
-      out += ",\"shuffle_end\":";
-      out += ExactJsonNumber(ev.timing.shuffle_end);
-      out += ",\"end\":";
-      out += ExactJsonNumber(ev.timing.end);
-      out += ",\"ok\":";
-      out += ev.succeeded ? "true" : "false";
+      WriteTaskKey(out, ev);
+      out.Raw(",\"start\":");
+      out.ExactNumber(ev.timing.start);
+      out.Raw(",\"shuffle_end\":");
+      out.ExactNumber(ev.timing.shuffle_end);
+      out.Raw(",\"end\":");
+      out.ExactNumber(ev.timing.end);
+      out.Raw(ev.succeeded ? std::string_view(",\"ok\":true")
+                           : ",\"ok\":false");
       break;
     case LogEvent::Kind::kSchedulerDecision:
-      out += ",\"kind\":\"";
-      out += TaskKindName(ev.task_kind);
-      out += "\",\"job\":";
-      out += std::to_string(ev.job);
+      out.Raw(ev.task_kind == TaskKind::kMap
+                  ? std::string_view(",\"kind\":\"map\",\"job\":")
+                  : ",\"kind\":\"reduce\",\"job\":");
+      out.Int(ev.job);
       break;
     case LogEvent::Kind::kFault:
-      out += ",\"fault\":\"";
-      out += JsonEscape(ev.fault_name);
-      out += "\",\"node\":";
-      out += std::to_string(ev.node);
-      out += ",\"job\":";
-      out += std::to_string(ev.job);
-      out += ",\"kind\":\"";
-      out += TaskKindName(ev.task_kind);
-      out += "\",\"index\":";
-      out += std::to_string(ev.index);
+      out.Raw(",\"fault\":");
+      out.String(ev.fault_name);
+      out.Raw(",\"node\":");
+      out.Int(ev.node);
+      WriteTaskKey(out, ev);
       break;
   }
-  out += "}\n";
+  out.Raw("}\n");
+}
+
+void WriteLog(JsonWriter& out, const EventLogHeader& header,
+              const std::vector<LogEvent>& events) {
+  WriteHeaderLine(out, header);
+  for (const LogEvent& ev : events) WriteEventLine(out, ev);
+}
+
+std::string LogText(const EventLogHeader& header,
+                    const std::vector<LogEvent>& events) {
+  std::string text;
+  {
+    JsonWriter out(text);
+    WriteLog(out, header, events);
+  }
+  return text;
 }
 
 }  // namespace
 
 std::string EventLogObserver::ToJsonl(const EventLogHeader& header) const {
-  std::string out;
-  out.reserve(64 + events_.size() * 72);
-  AppendHeaderLine(out, header);
-  for (const LogEvent& ev : events_) AppendEventLine(out, ev);
-  return out;
+  return LogText(header, events_);
 }
 
 void EventLogObserver::WriteFile(const std::string& path,
                                  const EventLogHeader& header) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  const std::string body = ToJsonl(header);
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!out) throw std::runtime_error("failed writing " + path);
+  WriteJsonFile(path, "EventLogObserver",
+                [&](JsonWriter& out) { WriteLog(out, header, events_); });
 }
 
 std::string SerializeEventLog(const EventLog& log) {
-  std::string out;
-  out.reserve(64 + log.events.size() * 72);
-  AppendHeaderLine(out, log.header);
-  for (const LogEvent& ev : log.events) AppendEventLine(out, ev);
-  return out;
+  return LogText(log.header, log.events);
 }
 
 namespace {
 
-/// Minimal parser for the flat one-line JSON objects this format emits:
-/// string, number, true/false values only. Strict about structure so
-/// corrupt logs fail loudly, tolerant about key order.
-class FlatJsonLine {
- public:
-  FlatJsonLine(const std::string& line, std::size_t line_no) {
-    const char* p = line.c_str();
-    SkipWs(p);
-    Expect(p, '{', line_no);
-    SkipWs(p);
-    if (*p == '}') return;
-    for (;;) {
-      const std::string key = ParseString(p, line_no);
-      SkipWs(p);
-      Expect(p, ':', line_no);
-      SkipWs(p);
-      Value v;
-      if (*p == '"') {
-        v.is_string = true;
-        v.text = ParseString(p, line_no);
-      } else if (std::strncmp(p, "true", 4) == 0) {
-        v.number = 1.0;
-        p += 4;
-      } else if (std::strncmp(p, "false", 5) == 0) {
-        v.number = 0.0;
-        p += 5;
-      } else {
-        char* end = nullptr;
-        v.number = std::strtod(p, &end);
-        if (end == p) Fail(line_no, "expected a value");
-        p = end;
-      }
-      values_.emplace(std::move(key), std::move(v));
-      SkipWs(p);
-      if (*p == ',') {
-        ++p;
-        SkipWs(p);
-        continue;
-      }
-      Expect(p, '}', line_no);
-      break;
-    }
-    line_no_ = line_no;
-  }
-
-  std::string GetString(const char* key) const {
-    const Value& v = Find(key);
-    if (!v.is_string) Fail(line_no_, std::string(key) + " is not a string");
-    return v.text;
-  }
-
-  double GetNumber(const char* key) const {
-    const Value& v = Find(key);
-    if (!v.is_string) return v.number;
-    // Non-finite doubles are serialized as quoted strings.
-    if (v.text == "NaN") return std::numeric_limits<double>::quiet_NaN();
-    if (v.text == "+Inf") return std::numeric_limits<double>::infinity();
-    if (v.text == "-Inf") return -std::numeric_limits<double>::infinity();
-    Fail(line_no_, std::string(key) + " is not a number");
-    return 0.0;
-  }
-
-  bool GetBool(const char* key) const { return GetNumber(key) != 0.0; }
-
-  bool Has(const char* key) const { return values_.count(key) != 0; }
-
- private:
-  struct Value {
-    bool is_string = false;
-    std::string text;
-    double number = 0.0;
-  };
-
-  [[noreturn]] static void Fail(std::size_t line_no, const std::string& what) {
-    throw std::runtime_error("event log line " + std::to_string(line_no) +
-                             ": " + what);
-  }
-
-  static void SkipWs(const char*& p) {
-    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  }
-
-  static void Expect(const char*& p, char c, std::size_t line_no) {
-    if (*p != c) Fail(line_no, std::string("expected '") + c + "'");
-    ++p;
-  }
-
-  static std::string ParseString(const char*& p, std::size_t line_no) {
-    Expect(p, '"', line_no);
-    std::string out;
-    while (*p != '"') {
-      if (*p == '\0') Fail(line_no, "unterminated string");
-      if (*p == '\\') {
-        ++p;
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              ++p;
-              const char c = *p;
-              code <<= 4;
-              if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
-              else if (c >= 'a' && c <= 'f')
-                code |= static_cast<unsigned>(c - 'a' + 10);
-              else if (c >= 'A' && c <= 'F')
-                code |= static_cast<unsigned>(c - 'A' + 10);
-              else
-                Fail(line_no, "bad \\u escape");
-            }
-            // The writer only escapes control characters this way.
-            out += static_cast<char>(code);
-            break;
-          }
-          default: Fail(line_no, "bad escape");
-        }
-        ++p;
-      } else {
-        out += *p;
-        ++p;
-      }
-    }
-    ++p;
-    return out;
-  }
-
-  const Value& Find(const char* key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end())
-      Fail(line_no_, std::string("missing key '") + key + "'");
-    return it->second;
-  }
-
-  std::unordered_map<std::string, Value> values_;
-  std::size_t line_no_ = 0;
+/// Where a record's member goes.
+enum class Slot : std::uint8_t {
+  kT,
+  kType,
+  kDepth,
+  kJob,
+  kName,
+  kDeadline,
+  kKind,
+  kIndex,
+  kPhase,
+  kStart,
+  kShuffleEnd,
+  kEnd,
+  kOk,
+  kFault,
+  kNode,
 };
 
-TaskKind ParseTaskKind(const std::string& name, std::size_t line_no) {
-  if (name == "map") return TaskKind::kMap;
-  if (name == "reduce") return TaskKind::kReduce;
-  throw std::runtime_error("event log line " + std::to_string(line_no) +
-                           ": unknown task kind '" + name + "'");
+struct Key {
+  std::string_view name;
+  Slot slot;
+};
+
+/// Each record kind's keys besides "k", in the order the writer emits
+/// them. A record carries every key of its kind and no other.
+constexpr Key kDequeueKeys[] = {
+    {"t", Slot::kT}, {"type", Slot::kType}, {"depth", Slot::kDepth}};
+constexpr Key kJobArrivalKeys[] = {{"t", Slot::kT},
+                                   {"job", Slot::kJob},
+                                   {"name", Slot::kName},
+                                   {"deadline", Slot::kDeadline}};
+constexpr Key kJobCompletionKeys[] = {{"t", Slot::kT}, {"job", Slot::kJob}};
+constexpr Key kTaskLaunchKeys[] = {{"t", Slot::kT},
+                                   {"job", Slot::kJob},
+                                   {"kind", Slot::kKind},
+                                   {"index", Slot::kIndex}};
+constexpr Key kPhaseKeys[] = {{"t", Slot::kT},
+                              {"job", Slot::kJob},
+                              {"kind", Slot::kKind},
+                              {"index", Slot::kIndex},
+                              {"phase", Slot::kPhase}};
+constexpr Key kTaskCompletionKeys[] = {
+    {"t", Slot::kT},         {"job", Slot::kJob},
+    {"kind", Slot::kKind},   {"index", Slot::kIndex},
+    {"start", Slot::kStart}, {"shuffle_end", Slot::kShuffleEnd},
+    {"end", Slot::kEnd},     {"ok", Slot::kOk}};
+constexpr Key kDecisionKeys[] = {
+    {"t", Slot::kT}, {"kind", Slot::kKind}, {"job", Slot::kJob}};
+constexpr Key kFaultKeys[] = {{"t", Slot::kT},       {"fault", Slot::kFault},
+                              {"node", Slot::kNode}, {"job", Slot::kJob},
+                              {"kind", Slot::kKind}, {"index", Slot::kIndex}};
+
+struct KeySet {
+  const Key* keys;
+  std::size_t size;
+};
+
+template <std::size_t N>
+constexpr KeySet Keys(const Key (&keys)[N]) {
+  return {keys, N};
 }
+
+/// Indexed by LogEvent::Kind.
+constexpr KeySet kKeySets[] = {
+    Keys(kDequeueKeys),    Keys(kJobArrivalKeys), Keys(kJobCompletionKeys),
+    Keys(kTaskLaunchKeys), Keys(kPhaseKeys),      Keys(kTaskCompletionKeys),
+    Keys(kDecisionKeys),   Keys(kFaultKeys)};
+static_assert(std::size(kKeySets) == kNumLogEventKinds);
+
+/// The most members a record may have: "k" plus the largest key set.
+constexpr std::size_t kMaxMembers = 1 + std::size(kTaskCompletionKeys);
+
+constexpr std::string_view kHeaderKeys[] = {"schema", "tool", "scenario",
+                                            "simulator"};
+
+constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+std::string Quoted(std::string_view text) {
+  return "'" + std::string(text) + "'";
+}
+
+class LogReader {
+ public:
+  explicit LogReader(std::string_view source) : source_(source) {}
+
+  /// Reads one line (without its newline).
+  void Line(std::string_view line) {
+    ++line_no_;
+    try {
+      if (!saw_header_) {
+        Header(line);
+        saw_header_ = true;
+      } else if (!line.empty()) {
+        Event(line);
+      }
+    } catch (const JsonLineError& e) {
+      throw std::runtime_error(source_ + ":" + std::to_string(line_no_) +
+                               ":" + std::to_string(e.offset()) + ": " +
+                               e.what());
+    }
+  }
+
+  EventLog Finish() {
+    if (!saw_header_)
+      throw std::runtime_error(source_ + ": empty input (no header line)");
+    return std::move(log_);
+  }
+
+  void Reserve(std::size_t events) { log_.events.reserve(events); }
+
+ private:
+  void Header(std::string_view line) {
+    constexpr std::size_t kKeys = std::size(kHeaderKeys);
+    JsonMember m[kKeys];
+    const std::size_t n = SplitJsonLine(line, m, kKeys);
+    std::string values[kKeys];
+    bool seen[kKeys] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t k = 0;
+      while (k < kKeys && m[i].key != kHeaderKeys[k]) ++k;
+      if (k == kKeys) ThrowUnknownKey(m[i], "the header");
+      if (seen[k]) ThrowDuplicateKey(m[i]);
+      seen[k] = true;
+      values[k] = std::string(JsonMemberString(m[i], unescaped_));
+      if (k == 0 && values[0] != kSchema)
+        throw JsonLineError(m[i].offset, "unsupported schema " +
+                                             Quoted(values[0]) + " (want " +
+                                             std::string(kSchema) + ")");
+    }
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      if (!seen[k])
+        throw JsonLineError(line.size(), "missing key " +
+                                             Quoted(kHeaderKeys[k]) +
+                                             " in the header");
+    }
+    log_.header.tool = std::move(values[1]);
+    log_.header.scenario = std::move(values[2]);
+    log_.header.simulator = std::move(values[3]);
+  }
+
+  void Event(std::string_view line) {
+    JsonMember m[kMaxMembers];
+    const std::size_t n = SplitJsonLine(line, m, kMaxMembers);
+    std::size_t kind_at = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (m[i].key != "k") continue;
+      if (kind_at != n) ThrowDuplicateKey(m[i]);
+      kind_at = i;
+    }
+    if (kind_at == n) throw JsonLineError(line.size(), "missing key 'k'");
+    const std::string_view kind_name = JsonMemberString(m[kind_at], unescaped_);
+    const std::optional<LogEvent::Kind> kind = ParseLogEventKind(kind_name);
+    if (!kind)
+      throw JsonLineError(m[kind_at].offset,
+                          "unknown event kind " + Quoted(kind_name));
+    const KeySet keys = kKeySets[static_cast<int>(*kind)];
+    const char* record = kLogEventKindNames[static_cast<int>(*kind)];
+
+    LogEvent ev;
+    ev.kind = *kind;
+    std::uint32_t seen = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == kind_at) continue;
+      std::size_t k = 0;
+      while (k < keys.size && keys.keys[k].name != m[i].key) ++k;
+      if (k == keys.size)
+        ThrowUnknownKey(m[i], "a " + std::string(record) + " record");
+      if ((seen >> k & 1) != 0) ThrowDuplicateKey(m[i]);
+      seen |= std::uint32_t{1} << k;
+      Store(keys.keys[k].slot, m[i], ev);
+    }
+    if (seen != (std::uint32_t{1} << keys.size) - 1) {
+      std::size_t k = 0;
+      while ((seen >> k & 1) != 0) ++k;
+      throw JsonLineError(line.size(), "missing key " +
+                                           Quoted(keys.keys[k].name) +
+                                           " in a " + record + " record");
+    }
+    log_.events.push_back(ev);
+  }
+
+  void Store(Slot slot, const JsonMember& m, LogEvent& ev) {
+    switch (slot) {
+      case Slot::kT: ev.t = JsonMemberDouble(m); break;
+      case Slot::kType: ev.detail = InternString(m); break;
+      case Slot::kDepth:
+        ev.queue_depth =
+            JsonMemberUnsigned(m, std::numeric_limits<std::uint64_t>::max());
+        break;
+      case Slot::kJob: ev.job = Int32(m); break;
+      case Slot::kName: ev.name = InternString(m); break;
+      case Slot::kDeadline: ev.deadline = JsonMemberDouble(m); break;
+      case Slot::kKind: {
+        const std::string_view name = JsonMemberString(m, unescaped_);
+        if (name == "map") {
+          ev.task_kind = TaskKind::kMap;
+        } else if (name == "reduce") {
+          ev.task_kind = TaskKind::kReduce;
+        } else {
+          throw JsonLineError(m.offset, "unknown task kind " + Quoted(name));
+        }
+        break;
+      }
+      case Slot::kIndex: ev.index = Int32(m); break;
+      case Slot::kPhase: ev.detail = InternString(m); break;
+      case Slot::kStart: ev.timing.start = JsonMemberDouble(m); break;
+      case Slot::kShuffleEnd:
+        ev.timing.shuffle_end = JsonMemberDouble(m);
+        break;
+      case Slot::kEnd: ev.timing.end = JsonMemberDouble(m); break;
+      case Slot::kOk: ev.succeeded = JsonMemberBool(m); break;
+      case Slot::kFault: ev.fault_name = InternString(m); break;
+      case Slot::kNode: ev.node = Int32(m); break;
+    }
+  }
+
+  static std::int32_t Int32(const JsonMember& m) {
+    return static_cast<std::int32_t>(
+        JsonMemberInteger(m, kInt32Min, kInt32Max));
+  }
+
+  const char* InternString(const JsonMember& m) {
+    return log_.Intern(JsonMemberString(m, unescaped_));
+  }
+
+  std::string source_;
+  std::size_t line_no_ = 0;
+  bool saw_header_ = false;
+  EventLog log_;
+  std::string unescaped_;
+};
 
 }  // namespace
 
-EventLog ParseEventLog(std::istream& in) {
-  EventLog log;
-  std::string line;
-  std::size_t line_no = 0;
-
-  if (!std::getline(in, line))
-    throw std::runtime_error("event log: empty input");
-  ++line_no;
-  {
-    const FlatJsonLine header(line, line_no);
-    const std::string schema = header.GetString("schema");
-    if (schema != kSchema)
-      throw std::runtime_error("event log: unsupported schema '" + schema +
-                               "' (want " + kSchema + ")");
-    log.header.tool = header.GetString("tool");
-    log.header.scenario = header.GetString("scenario");
-    log.header.simulator = header.GetString("simulator");
-  }
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const FlatJsonLine obj(line, line_no);
-    const std::string k = obj.GetString("k");
-    const std::optional<LogEvent::Kind> kind = ParseLogEventKind(k);
-    if (!kind) {
-      throw std::runtime_error("event log line " + std::to_string(line_no) +
-                               ": unknown event kind '" + k + "'");
-    }
-    LogEvent ev;
-    ev.kind = *kind;
-    ev.t = obj.GetNumber("t");
-    switch (*kind) {
-      case LogEvent::Kind::kDequeue:
-        ev.detail = log.Intern(obj.GetString("type"));
-        ev.queue_depth = static_cast<std::uint64_t>(obj.GetNumber("depth"));
-        break;
-      case LogEvent::Kind::kJobArrival:
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        ev.name = log.Intern(obj.GetString("name"));
-        ev.deadline = obj.GetNumber("deadline");
-        break;
-      case LogEvent::Kind::kJobCompletion:
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        break;
-      case LogEvent::Kind::kTaskLaunch:
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        ev.task_kind = ParseTaskKind(obj.GetString("kind"), line_no);
-        ev.index = static_cast<std::int32_t>(obj.GetNumber("index"));
-        break;
-      case LogEvent::Kind::kPhaseTransition:
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        ev.task_kind = ParseTaskKind(obj.GetString("kind"), line_no);
-        ev.index = static_cast<std::int32_t>(obj.GetNumber("index"));
-        ev.detail = log.Intern(obj.GetString("phase"));
-        break;
-      case LogEvent::Kind::kTaskCompletion:
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        ev.task_kind = ParseTaskKind(obj.GetString("kind"), line_no);
-        ev.index = static_cast<std::int32_t>(obj.GetNumber("index"));
-        ev.timing.start = obj.GetNumber("start");
-        ev.timing.shuffle_end = obj.GetNumber("shuffle_end");
-        ev.timing.end = obj.GetNumber("end");
-        ev.succeeded = obj.GetBool("ok");
-        break;
-      case LogEvent::Kind::kSchedulerDecision:
-        ev.task_kind = ParseTaskKind(obj.GetString("kind"), line_no);
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        break;
-      case LogEvent::Kind::kFault:
-        ev.fault_name = log.Intern(obj.GetString("fault"));
-        ev.node = static_cast<std::int32_t>(obj.GetNumber("node"));
-        ev.job = static_cast<std::int32_t>(obj.GetNumber("job"));
-        ev.task_kind = ParseTaskKind(obj.GetString("kind"), line_no);
-        ev.index = static_cast<std::int32_t>(obj.GetNumber("index"));
-        break;
-    }
-    log.events.push_back(std::move(ev));
-  }
-  return log;
+EventLog ParseEventLog(std::istream& in, std::string_view source) {
+  LogReader reader(source);
+  ForEachLine(
+      [&in](char* dst, std::size_t capacity) {
+        in.read(dst, static_cast<std::streamsize>(capacity));
+        return static_cast<std::size_t>(in.gcount());
+      },
+      [&reader](std::string_view line) { reader.Line(line); });
+  return reader.Finish();
 }
 
 EventLog ReadEventLogFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return ParseEventLog(in);
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) throw std::runtime_error("cannot open " + path);
+  LogReader reader(path);
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  // Records run ~100 bytes: the guess spares the regrowth copies, and the
+  // untouched tail of a high one is never paged in.
+  if (!ec) reader.Reserve(static_cast<std::size_t>(bytes / 64));
+  bool read_ok = false;
+  try {
+    read_ok = ForEachFileLine(
+        file, [&reader](std::string_view line) { reader.Line(line); });
+  } catch (...) {
+    std::fclose(file);
+    throw;
+  }
+  std::fclose(file);
+  if (!read_ok) throw std::runtime_error("failed reading " + path);
+  return reader.Finish();
 }
 
 }  // namespace simmr::obs

@@ -7,7 +7,9 @@
 // versioned JSONL: one header object followed by one object per callback,
 // with doubles printed exactly (shortest representation that parses back to
 // the identical bits), so ReadEventLogFile round-trips a run losslessly.
-// Schema reference: docs/OBSERVABILITY.md; offline consumers live in
+// Lines are written through the shared emitter (obs/json.h) and read back
+// by a strict direct reader (obs/json_line.h). Schema reference:
+// docs/OBSERVABILITY.md and docs/FORMATS.md; offline consumers live in
 // src/analysis/ and tools/simmr_analyze.cpp.
 #pragma once
 
@@ -20,6 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/observer.h"
 
 namespace simmr::obs {
@@ -102,7 +105,8 @@ struct EventLog {
   const char* Intern(std::string_view s);
 
  private:
-  std::shared_ptr<std::vector<std::unique_ptr<std::string>>> arena_;
+  struct Arena;
+  std::shared_ptr<Arena> arena_;
 };
 
 /// Records every callback in memory, for WriteFile at end of run.
@@ -147,7 +151,8 @@ class EventLogObserver final : public SimObserver {
   /// The record as a "simmr.eventlog.v1" JSONL document.
   std::string ToJsonl(const EventLogHeader& header) const;
 
-  /// Writes ToJsonl() to `path`. Throws std::runtime_error on I/O failure.
+  /// Streams the ToJsonl() document to `path` through one fixed-size
+  /// buffer. Throws std::runtime_error on I/O failure.
   void WriteFile(const std::string& path, const EventLogHeader& header) const;
 
   // The recording callbacks are defined inline: the engine devirtualizes
@@ -249,17 +254,16 @@ class EventLogObserver final : public SimObserver {
 /// ParseEventLog, used by round-trip tests.
 std::string SerializeEventLog(const EventLog& log);
 
-/// Parses a "simmr.eventlog.v1" document. Throws std::runtime_error on a
-/// wrong schema, malformed line or unknown event kind.
-EventLog ParseEventLog(std::istream& in);
+/// Parses a "simmr.eventlog.v1" document strictly (docs/FORMATS.md): each
+/// record kind has a fixed key set, integer fields take integer literals in
+/// range, doubles follow the JSON number grammar (or are the quoted
+/// "NaN"/"+Inf"/"-Inf"), and nothing may follow a record's closing brace.
+/// Throws std::runtime_error reading "<source>:<line>:<offset>: <what>",
+/// the offset counting bytes from the start of the line.
+EventLog ParseEventLog(std::istream& in, std::string_view source = "event log");
 
-/// Reads and parses an event-log file. Throws std::runtime_error on I/O or
-/// parse failure.
+/// Reads and parses an event-log file; errors name `path` as the source.
+/// Throws std::runtime_error on I/O or parse failure.
 EventLog ReadEventLogFile(const std::string& path);
-
-/// Formats a double so that parsing the text returns the identical bits:
-/// the shortest of %.15g/%.16g/%.17g that round-trips. Non-finite values
-/// render as quoted "NaN"/"+Inf"/"-Inf" (JSON has no literal for them).
-std::string ExactJsonNumber(double value);
 
 }  // namespace simmr::obs

@@ -1,8 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
+#include <charconv>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -10,11 +9,9 @@
 namespace simmr::obs {
 namespace {
 
-/// Escapes a label value per the exposition format: backslash, double
-/// quote and newline.
-std::string PrometheusEscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
+/// Appends a label value escaped per the exposition format: backslash,
+/// double quote and newline.
+void AppendEscapedLabelValue(std::string& out, const std::string& value) {
   for (char c : value) {
     switch (c) {
       case '\\': out += "\\\\"; break;
@@ -23,7 +20,6 @@ std::string PrometheusEscapeLabelValue(const std::string& value) {
       default: out += c;
     }
   }
-  return out;
 }
 
 /// Escapes HELP text per the exposition format: backslash and newline
@@ -41,51 +37,46 @@ std::string PrometheusEscapeHelp(const std::string& help) {
   return out;
 }
 
-/// Renders a label set as {k1="v1",k2="v2"} (empty string when no labels).
+/// Appends a label set as {k1="v1",k2="v2"} (nothing when no labels).
 /// `extra` appends one more label, used for histogram `le` buckets.
-std::string PrometheusLabels(const LabelSet& labels,
-                             const std::string& extra = "") {
-  if (labels.empty() && extra.empty()) return "";
-  std::string out = "{";
+void AppendPrometheusLabels(std::string& out, const LabelSet& labels,
+                            const std::string& extra = "") {
+  if (labels.empty() && extra.empty()) return;
+  out += '{';
   bool first = true;
   for (const auto& [key, value] : labels) {
-    if (!first) out += ",";
+    if (!first) out += ',';
     first = false;
-    out += key + "=\"" + PrometheusEscapeLabelValue(value) + "\"";
+    out += key;
+    out += "=\"";
+    AppendEscapedLabelValue(out, value);
+    out += '"';
   }
   if (!extra.empty()) {
-    if (!first) out += ",";
+    if (!first) out += ',';
     out += extra;
   }
-  out += "}";
+  out += '}';
+}
+
+std::string PrometheusLabels(const LabelSet& labels,
+                             const std::string& extra = "") {
+  std::string out;
+  AppendPrometheusLabels(out, labels, extra);
   return out;
 }
 
-std::string JsonLabels(const LabelSet& labels) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
-  }
-  out += "}";
-  return out;
-}
-
-/// Prometheus prints bucket bounds without trailing zeros.
+/// Prometheus prints bucket bounds as "%g" does: six significant digits.
 std::string BoundText(double bound) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%g", bound);
-  return buf;
+  char buf[kMaxJsonNumberChars];
+  const char* end =
+      std::to_chars(buf, buf + sizeof buf, bound, std::chars_format::general,
+                    6)
+          .ptr;
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
-std::string U64Text(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+std::string U64Text(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
@@ -163,6 +154,7 @@ Counter& MetricsRegistry::AddCounter(const std::string& name,
                                      LabelSet labels) {
   Entry& entry = Register(name, help, std::move(labels), Type::kCounter);
   entry.counter = std::make_unique<Counter>();
+  scalars_.push_back({entry.counter.get(), nullptr});
   return *entry.counter;
 }
 
@@ -170,6 +162,7 @@ Gauge& MetricsRegistry::AddGauge(const std::string& name,
                                  const std::string& help, LabelSet labels) {
   Entry& entry = Register(name, help, std::move(labels), Type::kGauge);
   entry.gauge = std::make_unique<Gauge>();
+  scalars_.push_back({nullptr, entry.gauge.get()});
   return *entry.gauge;
 }
 
@@ -188,22 +181,6 @@ Histogram& MetricsRegistry::AddHistogram(const std::string& name,
   Entry& entry = Register(name, help, std::move(labels), Type::kHistogram);
   entry.histogram = std::make_unique<Histogram>(std::move(bounds));
   return *entry.histogram;
-}
-
-std::vector<MetricsRegistry::ScalarSample> MetricsRegistry::ScalarSnapshot()
-    const {
-  std::vector<ScalarSample> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    if (entry.type == Type::kHistogram) continue;
-    ScalarSample sample;
-    sample.key = entry.name + PrometheusLabels(entry.labels);
-    sample.value = entry.type == Type::kCounter
-                       ? static_cast<double>(entry.counter->Value())
-                       : entry.gauge->Value();
-    out.push_back(std::move(sample));
-  }
-  return out;
 }
 
 std::string MetricsRegistry::PrometheusText() const {
@@ -238,9 +215,15 @@ std::string MetricsRegistry::PrometheusText() const {
                "\n";
         break;
       case Type::kGauge: {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.12g", entry.gauge->Value());
-        out += entry.name + labels + " " + buf + "\n";
+        // "%.12g", non-finite values as "nan"/"inf" (not JSON's quotes).
+        char buf[kMaxJsonNumberChars];
+        const char* end = std::to_chars(buf, buf + sizeof buf,
+                                        entry.gauge->Value(),
+                                        std::chars_format::general, 12)
+                              .ptr;
+        out += entry.name + labels + " ";
+        out.append(buf, static_cast<std::size_t>(end - buf));
+        out += "\n";
         break;
       }
       case Type::kHistogram: {
@@ -268,55 +251,98 @@ std::string MetricsRegistry::PrometheusText() const {
   return out;
 }
 
-std::string MetricsRegistry::Json() const {
-  std::string out = "{\"schema\":\"simmr.metrics.v1\",\"metrics\":[";
+std::size_t MetricsRegistry::AppendScalarValues(
+    std::vector<double>& out) const {
+  for (const ScalarRef& ref : scalars_) {
+    out.push_back(ref.counter != nullptr
+                      ? static_cast<double>(ref.counter->Value())
+                      : ref.gauge->Value());
+  }
+  return scalars_.size();
+}
+
+std::vector<std::string> MetricsRegistry::ScalarKeys() const {
+  std::vector<std::string> keys;
+  keys.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
+    if (entry.type == Type::kHistogram) continue;
+    std::string& key = keys.emplace_back(entry.name);
+    AppendPrometheusLabels(key, entry.labels);
+  }
+  return keys;
+}
+
+void MetricsRegistry::WriteJson(JsonWriter& out) const {
+  out.Raw("{\"schema\":\"simmr.metrics.v1\",\"metrics\":[");
   bool first = true;
   for (const Entry& entry : entries_) {
-    if (!first) out += ",";
+    if (!first) out.Char(',');
     first = false;
-    out += "{\"name\":\"" + JsonEscape(entry.name) + "\",\"labels\":" +
-           JsonLabels(entry.labels);
+    out.Raw("{\"name\":");
+    out.String(entry.name);
+    out.Raw(",\"labels\":{");
+    bool first_label = true;
+    for (const auto& [key, value] : entry.labels) {
+      if (!first_label) out.Char(',');
+      first_label = false;
+      out.String(key);
+      out.Char(':');
+      out.String(value);
+    }
+    out.Char('}');
     switch (entry.type) {
       case Type::kCounter:
-        out += ",\"type\":\"counter\",\"value\":" +
-               U64Text(entry.counter->Value());
+        out.Raw(",\"type\":\"counter\",\"value\":");
+        out.UInt(entry.counter->Value());
         break;
       case Type::kGauge:
-        out += ",\"type\":\"gauge\",\"value\":" +
-               JsonNumber(entry.gauge->Value());
+        out.Raw(",\"type\":\"gauge\",\"value\":");
+        out.Number(entry.gauge->Value());
         break;
       case Type::kHistogram: {
         const Histogram& h = *entry.histogram;
-        out += ",\"type\":\"histogram\",\"buckets\":[";
+        out.Raw(",\"type\":\"histogram\",\"buckets\":[");
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < h.bucket_bounds().size(); ++i) {
           cumulative += h.bucket_counts()[i];
-          if (i > 0) out += ",";
-          out += "{\"le\":" + JsonNumber(h.bucket_bounds()[i]) +
-                 ",\"count\":" + U64Text(cumulative) + "}";
+          out.Raw("{\"le\":");
+          out.Number(h.bucket_bounds()[i]);
+          out.Raw(",\"count\":");
+          out.UInt(cumulative);
+          out.Raw("},");
         }
-        if (!h.bucket_bounds().empty()) out += ",";
-        out += "{\"le\":\"+Inf\",\"count\":" + U64Text(h.TotalCount()) +
-               "}]";
-        out += ",\"sum\":" + JsonNumber(h.Sum()) +
-               ",\"count\":" + U64Text(h.TotalCount());
+        out.Raw("{\"le\":\"+Inf\",\"count\":");
+        out.UInt(h.TotalCount());
+        out.Raw("}],\"sum\":");
+        out.Number(h.Sum());
+        out.Raw(",\"count\":");
+        out.UInt(h.TotalCount());
         break;
       }
     }
-    out += "}";
+    out.Char('}');
   }
-  out += "]}";
-  return out;
+  out.Raw("]}");
+}
+
+std::string MetricsRegistry::Json() const {
+  std::string text;
+  {
+    JsonWriter out(text);
+    WriteJson(out);
+  }
+  return text;
 }
 
 void MetricsRegistry::WriteFile(const std::string& path, bool as_json) const {
-  std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error("MetricsRegistry: cannot write " + path);
-  out << (as_json ? Json() : PrometheusText());
-  if (as_json) out << "\n";
-  if (!out)
-    throw std::runtime_error("MetricsRegistry: write failed for " + path);
+  WriteJsonFile(path, "MetricsRegistry", [&](JsonWriter& out) {
+    if (as_json) {
+      WriteJson(out);
+      out.Char('\n');
+    } else {
+      out.Raw(PrometheusText());
+    }
+  });
 }
 
 }  // namespace simmr::obs

@@ -20,6 +20,8 @@
 
 namespace simmr::obs {
 
+class JsonWriter;
+
 /// Label set attached to an instrument, e.g. {{"kind", "map"}}. Rendered
 /// in the order given; keep it short — exposition is O(labels) per line.
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
@@ -135,17 +137,17 @@ class MetricsRegistry {
 
   std::size_t size() const { return entries_.size(); }
 
-  /// One counter/gauge sample: Prometheus-style identity (name{labels})
-  /// and current value.
-  struct ScalarSample {
-    std::string key;
-    double value = 0.0;
-  };
+  /// Appends the current counter and gauge values, in registration order
+  /// (histograms are skipped — their windowed views are sampled
+  /// directly), to `out` and returns how many there were. The registry
+  /// only grows, so value i of any earlier call belongs to key i of
+  /// ScalarKeys(): TimeSeriesSampler stores these numbers per window and
+  /// renders the keys once, when it writes.
+  std::size_t AppendScalarValues(std::vector<double>& out) const;
 
-  /// Current counter and gauge values in registration order (histograms
-  /// are skipped — their windowed views are sampled directly). Used by
-  /// TimeSeriesSampler to embed a registry snapshot per window.
-  std::vector<ScalarSample> ScalarSnapshot() const;
+  /// The keys (name{labels}) of the current counters and gauges, in
+  /// AppendScalarValues() order.
+  std::vector<std::string> ScalarKeys() const;
 
   /// Prometheus text exposition format (one # HELP / # TYPE block per
   /// metric family, then one sample line per label set; histograms expand
@@ -158,8 +160,8 @@ class MetricsRegistry {
   /// object per instrument. See docs/OBSERVABILITY.md for the schema.
   std::string Json() const;
 
-  /// Writes PrometheusText() or Json() (by `as_json`) to a file.
-  /// Throws std::runtime_error when the file cannot be written.
+  /// Writes PrometheusText() or Json() (by `as_json`, then a newline) to
+  /// a file. Throws std::runtime_error when the file cannot be written.
   void WriteFile(const std::string& path, bool as_json) const;
 
  private:
@@ -177,8 +179,16 @@ class MetricsRegistry {
 
   Entry& Register(const std::string& name, const std::string& help,
                   LabelSet labels, Type type);
+  void WriteJson(JsonWriter& out) const;
 
   std::vector<Entry> entries_;
+  /// The counters and gauges of entries_, in order: what a window close
+  /// snapshots, without walking the entries.
+  struct ScalarRef {
+    const Counter* counter;  // or null, for a gauge
+    const Gauge* gauge;
+  };
+  std::vector<ScalarRef> scalars_;
 };
 
 }  // namespace simmr::obs

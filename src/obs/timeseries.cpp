@@ -1,17 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.h"
 
 namespace simmr::obs {
-namespace {
-
-std::string U64(std::uint64_t v) { return std::to_string(v); }
-
-}  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler() : TimeSeriesSampler(Options{}) {}
 
@@ -67,7 +62,9 @@ void TimeSeriesSampler::CloseWindow(double t1, bool partial) {
   }
   if (options_.registry != nullptr) {
     r.has_metrics = true;
-    r.metrics = options_.registry->ScalarSnapshot();
+    r.metrics_begin = metric_values_.size();
+    r.metrics_count = static_cast<std::uint32_t>(
+        options_.registry->AppendScalarValues(metric_values_));
   }
   records_.push_back(std::move(r));
 
@@ -82,61 +79,74 @@ void TimeSeriesSampler::CloseWindow(double t1, bool partial) {
   durations_[1].Checkpoint();
 }
 
-std::string TimeSeriesSampler::RenderWindow(const WindowRecord& r) const {
+void TimeSeriesSampler::WriteWindow(JsonWriter& out, const WindowRecord& r,
+                                    const MetricKeys& keys) const {
   const double span = r.t1 - r.t0;
-  std::string line = "{\"window\":" + std::to_string(r.index) +
-                     ",\"t0\":" + JsonNumber(r.t0) +
-                     ",\"t1\":" + JsonNumber(r.t1);
-  if (r.partial) line += ",\"partial\":true";
-  line += ",\"events\":" + U64(r.events);
-  line += ",\"events_per_sim_s\":" +
-          JsonNumber(span > 0.0 ? static_cast<double>(r.events) / span : 0.0);
-  line += ",\"queue_depth\":" + U64(r.queue_depth);
-  line += ",\"queue_depth_max\":" + U64(r.queue_depth_max);
-  line += ",\"jobs_arrived\":" + U64(r.jobs_arrived);
-  line += ",\"jobs_completed\":" + U64(r.jobs_completed);
-  line += ",\"jobs_active\":" + U64(r.jobs_active);
-  line += ",\"running_maps\":" + U64(r.running[0]);
-  line += ",\"running_maps_max\":" + U64(r.running_max[0]);
-  line += ",\"running_reduces\":" + U64(r.running[1]);
-  line += ",\"running_reduces_max\":" + U64(r.running_max[1]);
-  line += ",\"maps_completed\":" + U64(r.completed[0]);
-  line += ",\"reduces_completed\":" + U64(r.completed[1]);
-  line += ",\"task_failures\":" + U64(r.failures);
-  line += ",\"map_slot_seconds\":" + JsonNumber(r.busy_seconds[0]);
-  line += ",\"reduce_slot_seconds\":" + JsonNumber(r.busy_seconds[1]);
+  out.Raw("{\"window\":");
+  out.Int(r.index);
+  out.Raw(",\"t0\":");
+  out.Number(r.t0);
+  out.Raw(",\"t1\":");
+  out.Number(r.t1);
+  if (r.partial) out.Raw(",\"partial\":true");
+  out.Raw(",\"events\":");
+  out.UInt(r.events);
+  out.Raw(",\"events_per_sim_s\":");
+  out.Number(span > 0.0 ? static_cast<double>(r.events) / span : 0.0);
+  const std::pair<std::string_view, std::uint64_t> counts[] = {
+      {",\"queue_depth\":", r.queue_depth},
+      {",\"queue_depth_max\":", r.queue_depth_max},
+      {",\"jobs_arrived\":", r.jobs_arrived},
+      {",\"jobs_completed\":", r.jobs_completed},
+      {",\"jobs_active\":", r.jobs_active},
+      {",\"running_maps\":", r.running[0]},
+      {",\"running_maps_max\":", r.running_max[0]},
+      {",\"running_reduces\":", r.running[1]},
+      {",\"running_reduces_max\":", r.running_max[1]},
+      {",\"maps_completed\":", r.completed[0]},
+      {",\"reduces_completed\":", r.completed[1]},
+      {",\"task_failures\":", r.failures},
+  };
+  for (const auto& [key, value] : counts) {
+    out.Raw(key);
+    out.UInt(value);
+  }
+  out.Raw(",\"map_slot_seconds\":");
+  out.Number(r.busy_seconds[0]);
+  out.Raw(",\"reduce_slot_seconds\":");
+  out.Number(r.busy_seconds[1]);
   if (r.slots[0] > 0 && span > 0.0) {
-    line += ",\"map_utilization\":" +
-            JsonNumber(r.busy_seconds[0] /
-                       (static_cast<double>(r.slots[0]) * span));
+    out.Raw(",\"map_utilization\":");
+    out.Number(r.busy_seconds[0] / (static_cast<double>(r.slots[0]) * span));
   }
   if (r.slots[1] > 0 && span > 0.0) {
-    line += ",\"reduce_utilization\":" +
-            JsonNumber(r.busy_seconds[1] /
-                       (static_cast<double>(r.slots[1]) * span));
+    out.Raw(",\"reduce_utilization\":");
+    out.Number(r.busy_seconds[1] / (static_cast<double>(r.slots[1]) * span));
   }
   for (std::size_t k = 0; k < 2; ++k) {
     if (r.completed[k] == 0) continue;
-    const char* prefix = k == 0 ? "map" : "reduce";
-    line += std::string(",\"") + prefix + "_duration_p50\":" +
-            JsonNumber(r.quantiles[k][0]);
-    line += std::string(",\"") + prefix + "_duration_p95\":" +
-            JsonNumber(r.quantiles[k][1]);
-    line += std::string(",\"") + prefix + "_duration_p99\":" +
-            JsonNumber(r.quantiles[k][2]);
+    const std::string_view prefix = k == 0 ? ",\"map" : ",\"reduce";
+    out.Raw(prefix);
+    out.Raw("_duration_p50\":");
+    out.Number(r.quantiles[k][0]);
+    out.Raw(prefix);
+    out.Raw("_duration_p95\":");
+    out.Number(r.quantiles[k][1]);
+    out.Raw(prefix);
+    out.Raw("_duration_p99\":");
+    out.Number(r.quantiles[k][2]);
   }
   if (r.has_metrics) {
-    line += ",\"metrics\":{";
-    bool first = true;
-    for (const auto& sample : r.metrics) {
-      if (!first) line += ",";
-      first = false;
-      line += "\"" + JsonEscape(sample.key) + "\":" + JsonNumber(sample.value);
+    out.Raw(",\"metrics\":{");
+    for (std::size_t i = 0; i < r.metrics_count; ++i) {
+      if (i > 0) out.Char(',');
+      const std::size_t begin = i == 0 ? 0 : keys.ends[i - 1];
+      out.Raw(std::string_view(keys.text).substr(begin, keys.ends[i] - begin));
+      out.Number(metric_values_[r.metrics_begin + i]);
     }
-    line += "}";
+    out.Char('}');
   }
-  line += "}";
-  return line;
+  out.Raw("}\n");
 }
 
 void TimeSeriesSampler::OnTaskCompletion(SimTime now, std::int32_t,
@@ -165,28 +175,49 @@ void TimeSeriesSampler::Finish() {
   CloseWindow(last_now_, /*partial=*/last_now_ < clock_.WindowEnd());
 }
 
-std::string TimeSeriesSampler::ToJsonl(const TimeSeriesHeader& header) const {
-  std::string out = "{\"schema\":\"simmr.timeseries.v1\",\"tool\":\"" +
-                    JsonEscape(header.tool) + "\",\"scenario\":\"" +
-                    JsonEscape(header.scenario) + "\",\"simulator\":\"" +
-                    JsonEscape(header.simulator) + "\",\"window_s\":" +
-                    JsonNumber(options_.window_s) + "}\n";
-  for (const WindowRecord& r : records_) {
-    out += RenderWindow(r);
-    out += "\n";
+void TimeSeriesSampler::Write(JsonWriter& out,
+                              const TimeSeriesHeader& header) const {
+  out.Raw("{\"schema\":\"simmr.timeseries.v1\",\"tool\":");
+  out.String(header.tool);
+  out.Raw(",\"scenario\":");
+  out.String(header.scenario);
+  out.Raw(",\"simulator\":");
+  out.String(header.simulator);
+  out.Raw(",\"window_s\":");
+  out.Number(options_.window_s);
+  out.Raw("}\n");
+  // The registry only grows, so its current keys name every value a
+  // window stored: render each "key": once, back to back.
+  MetricKeys keys;
+  if (options_.registry != nullptr) {
+    const std::vector<std::string> names = options_.registry->ScalarKeys();
+    {
+      JsonWriter text(keys.text);
+      for (const std::string& name : names) {
+        text.String(name);
+        text.Char(':');
+        text.Flush();
+        keys.ends.push_back(keys.text.size());
+      }
+    }
   }
-  return out;
+  for (const WindowRecord& r : records_) WriteWindow(out, r, keys);
+}
+
+std::string TimeSeriesSampler::ToJsonl(const TimeSeriesHeader& header) const {
+  std::string text;
+  {
+    JsonWriter out(text);
+    Write(out, header);
+  }
+  return text;
 }
 
 void TimeSeriesSampler::WriteFile(const std::string& path,
                                   const TimeSeriesHeader& header) {
   Finish();
-  std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error("TimeSeriesSampler: cannot write " + path);
-  out << ToJsonl(header);
-  if (!out)
-    throw std::runtime_error("TimeSeriesSampler: write failed for " + path);
+  WriteJsonFile(path, "TimeSeriesSampler",
+                [&](JsonWriter& out) { Write(out, header); });
 }
 
 }  // namespace simmr::obs

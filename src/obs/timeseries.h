@@ -25,6 +25,8 @@
 
 namespace simmr::obs {
 
+class JsonWriter;
+
 /// Sim-time window arithmetic, shared by TimeSeriesSampler and
 /// TraceExporter's windowed queue-depth counter so both emit samples at
 /// identical boundaries. Windows are [k*w, (k+1)*w); an event at exactly
@@ -135,7 +137,8 @@ class TimeSeriesSampler final : public SimObserver {
     int reduce_slots = 0;
     /// When set, each window line embeds a "metrics" object with every
     /// counter/gauge value of this registry at window close. Borrowed;
-    /// must outlive the sampler's run.
+    /// must outlive the sampler's run and its ToJsonl()/WriteFile() calls
+    /// (the keys are rendered from it when the series is written).
     const MetricsRegistry* registry = nullptr;
   };
 
@@ -163,8 +166,8 @@ class TimeSeriesSampler final : public SimObserver {
   /// Serializes the header line plus one line per closed window.
   std::string ToJsonl(const TimeSeriesHeader& header) const;
 
-  /// Finish() + ToJsonl() to `path`. Throws std::runtime_error on I/O
-  /// failure.
+  /// Finish(), then streams ToJsonl() to `path` through one fixed-size
+  /// buffer. Throws std::runtime_error on I/O failure.
   void WriteFile(const std::string& path, const TimeSeriesHeader& header);
 
   // The hooks are defined inline so the devirtualized engine path
@@ -233,8 +236,8 @@ class TimeSeriesSampler final : public SimObserver {
   void CloseWindow(double t1, bool partial);
 
   /// One closed window, captured as plain data at close time. JSON
-  /// serialization happens in ToJsonl() — after the run in every tool —
-  /// so window closes cost a struct push, not a string build.
+  /// serialization happens when the series is written — after the run in
+  /// every tool — so window closes cost a struct push, not a string build.
   struct WindowRecord {
     std::int64_t index = 0;
     double t0 = 0.0;
@@ -255,12 +258,22 @@ class TimeSeriesSampler final : public SimObserver {
     int slots[2] = {0, 0};
     /// p50/p95/p99 per kind; meaningful only when completed[k] > 0.
     double quantiles[2][3] = {{0, 0, 0}, {0, 0, 0}};
-    /// Registry scalar snapshot at close; taken only when a registry is
+    /// Registry scalar values at close, metrics_count of them from
+    /// metric_values_[metrics_begin]; taken only when a registry is
     /// attached (has_metrics distinguishes "no registry" from "empty").
     bool has_metrics = false;
-    std::vector<MetricsRegistry::ScalarSample> metrics;
+    std::uint32_t metrics_count = 0;
+    std::size_t metrics_begin = 0;
   };
-  std::string RenderWindow(const WindowRecord& r) const;
+  /// The registry's keys, each rendered as `"key":`, back to back: key i
+  /// spans [ends[i-1], ends[i]) of text.
+  struct MetricKeys {
+    std::string text;
+    std::vector<std::size_t> ends;
+  };
+  void Write(JsonWriter& out, const TimeSeriesHeader& header) const;
+  void WriteWindow(JsonWriter& out, const WindowRecord& r,
+                   const MetricKeys& keys) const;
 
   Options options_;
   WindowClock clock_;
@@ -298,6 +311,8 @@ class TimeSeriesSampler final : public SimObserver {
   DurationHistogram durations_[2];
 
   std::vector<WindowRecord> records_;  // closed windows, serialized lazily
+  /// Every window's registry values, back to back.
+  std::vector<double> metric_values_;
 };
 
 }  // namespace simmr::obs

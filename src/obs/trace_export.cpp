@@ -1,9 +1,7 @@
 #include "obs/trace_export.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
-#include <tuple>
 
 #include "obs/json.h"
 
@@ -16,17 +14,30 @@ namespace {
 constexpr std::int64_t kJobsTid = 1;
 constexpr std::int64_t kMapLaneBase = 1000;
 constexpr std::int64_t kReduceLaneBase = 100000;
-constexpr int kPid = 1;
 
 std::int64_t LaneBase(TaskKind kind) {
   return kind == TaskKind::kMap ? kMapLaneBase : kReduceLaneBase;
 }
 
+std::size_t KindIndex(TaskKind kind) { return kind == TaskKind::kMap ? 0 : 1; }
+
 double ToUs(SimTime t) { return t * 1e6; }
 
-std::string TaskLabel(std::int32_t job, TaskKind kind, std::int32_t index) {
-  return std::string(TaskKindName(kind)) + " " + std::to_string(job) + "." +
-         std::to_string(index);
+/// {"ph":"M","pid":1,"tid":<tid>,"name":"thread_name","args":{"name":"
+/// (the caller writes the name) and, after it, the sort-index record.
+void ThreadNameStart(JsonWriter& out, std::int64_t tid) {
+  out.Raw(",{\"ph\":\"M\",\"pid\":1,\"tid\":");
+  out.Int(tid);
+  out.Raw(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+}
+
+void ThreadNameEnd(JsonWriter& out, std::int64_t tid,
+                   std::int64_t sort_index) {
+  out.Raw("\"}},{\"ph\":\"M\",\"pid\":1,\"tid\":");
+  out.Int(tid);
+  out.Raw(",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":");
+  out.Int(sort_index);
+  out.Raw("}}");
 }
 
 }  // namespace
@@ -39,35 +50,30 @@ TraceExporter::TraceExporter(Options options)
     window_clock_.emplace(options_.queue_depth_window_s);
 }
 
-std::int64_t TraceExporter::AcquireLane(TaskKind kind) {
-  std::vector<bool>& busy = lane_busy_[kind == TaskKind::kMap ? 0 : 1];
-  for (std::size_t i = 0; i < busy.size(); ++i) {
-    if (!busy[i]) {
-      busy[i] = true;
-      return LaneBase(kind) + static_cast<std::int64_t>(i);
-    }
-  }
-  busy.push_back(true);
-  return LaneBase(kind) + static_cast<std::int64_t>(busy.size()) - 1;
+TraceExporter::TraceEvent& TraceExporter::Append(TraceEvent::Type type,
+                                                 double ts_us) {
+  TraceEvent& ev = events_.emplace_back();
+  ev.type = type;
+  ev.ts_us = ts_us;
+  return ev;
 }
 
-void TraceExporter::ReleaseLane(TaskKind kind, std::int64_t tid) {
-  std::vector<bool>& busy = lane_busy_[kind == TaskKind::kMap ? 0 : 1];
-  const std::size_t lane = static_cast<std::size_t>(tid - LaneBase(kind));
-  if (lane < busy.size()) busy[lane] = false;
+std::size_t TraceExporter::AcquireLane(TaskKind kind, std::uint64_t launch) {
+  Lanes& lanes = lanes_[KindIndex(kind)];
+  std::size_t lane = 0;
+  while (lane < lanes.launch.size() && lanes.launch[lane] != 0) ++lane;
+  if (lane == lanes.launch.size()) {
+    lanes.task.push_back(0);
+    lanes.launch.push_back(0);
+  }
+  lanes.launch[lane] = launch;
+  return lane;
 }
 
 void TraceExporter::OnEventDequeue(SimTime now, const char*,
                                    std::size_t queue_depth) {
   const auto emit = [this](double ts_s, std::size_t depth) {
-    TraceEvent ev;
-    ev.name = "event_queue_depth";
-    ev.category = "queue";
-    ev.phase = 'C';
-    ev.ts_us = ToUs(ts_s);
-    ev.tid = 0;
-    ev.args_json = "{\"depth\":" + std::to_string(depth) + "}";
-    events_.push_back(std::move(ev));
+    Append(TraceEvent::Type::kQueueDepth, ToUs(ts_s)).count = depth;
   };
   if (window_clock_.has_value()) {
     // Windowed mode: one sample per closed window, stamped at the window
@@ -88,81 +94,44 @@ void TraceExporter::OnEventDequeue(SimTime now, const char*,
 
 void TraceExporter::OnJobArrival(SimTime now, std::int32_t job,
                                  std::string_view name, double deadline) {
-  job_name_by_id_[job] = std::string(name);
-  TraceEvent ev;
-  ev.name = "job " + std::to_string(job) + " arrival";
-  ev.category = "job";
-  ev.phase = 'i';
-  ev.ts_us = ToUs(now);
-  ev.tid = kJobsTid;
-  ev.args_json = "{\"job\":" + std::to_string(job) + ",\"name\":\"" +
-                 JsonEscape(name) + "\"}";
-  events_.push_back(std::move(ev));
-  if (deadline > 0.0) {
-    TraceEvent dl;
-    dl.name = "job " + std::to_string(job) + " deadline";
-    dl.category = "deadline";
-    dl.phase = 'i';
-    dl.ts_us = ToUs(deadline);
-    dl.tid = kJobsTid;
-    dl.args_json = "{\"job\":" + std::to_string(job) + "}";
-    events_.push_back(std::move(dl));
-  }
+  const char* interned = names_.emplace(name).first->c_str();
+  name_by_job_[job] = interned;
+  TraceEvent& ev = Append(TraceEvent::Type::kArrival, ToUs(now));
+  ev.job = job;
+  ev.name = interned;
+  if (deadline > 0.0)
+    Append(TraceEvent::Type::kDeadline, ToUs(deadline)).job = job;
 }
 
 void TraceExporter::OnJobCompletion(SimTime now, std::int32_t job) {
-  TraceEvent ev;
-  ev.name = "job " + std::to_string(job) + " completion";
-  ev.category = "job";
-  ev.phase = 'i';
-  ev.ts_us = ToUs(now);
-  ev.tid = kJobsTid;
-  const auto it = job_name_by_id_.find(job);
-  ev.args_json = "{\"job\":" + std::to_string(job) + ",\"name\":\"" +
-                 JsonEscape(it == job_name_by_id_.end() ? "" : it->second) +
-                 "\"}";
-  events_.push_back(std::move(ev));
+  const auto it = name_by_job_.find(job);
+  TraceEvent& ev = Append(TraceEvent::Type::kCompletion, ToUs(now));
+  ev.job = job;
+  ev.name = it == name_by_job_.end() ? "" : it->second;
 }
 
 void TraceExporter::OnFaultEvent(SimTime now, FaultEventKind kind,
                                  std::int32_t node, std::int32_t job,
                                  TaskKind task_kind, std::int32_t index) {
-  TraceEvent ev;
-  ev.name = FaultEventKindName(kind);
-  ev.category = "fault";
-  ev.phase = 'i';
-  ev.ts_us = ToUs(now);
-  ev.tid = kJobsTid;
-  std::string args = "{\"node\":" + std::to_string(node);
-  if (job >= 0) {
-    args += ",\"job\":" + std::to_string(job);
-    args += ",\"kind\":\"";
-    args += TaskKindName(task_kind);
-    args += "\",\"index\":" + std::to_string(index);
-  }
-  args += "}";
-  ev.args_json = std::move(args);
-  events_.push_back(std::move(ev));
+  TraceEvent& ev = Append(TraceEvent::Type::kFault, ToUs(now));
+  ev.fault = kind;
+  ev.node = node;
+  ev.job = job;
+  ev.kind = task_kind;
+  ev.index = index;
 }
 
 void TraceExporter::EmitRunningCounter(SimTime now, TaskKind kind) {
-  TraceEvent ev;
-  ev.name = kind == TaskKind::kMap ? "running_maps" : "running_reduces";
-  ev.category = "tasks";
-  ev.phase = 'C';
-  ev.ts_us = ToUs(now);
-  ev.tid = 0;
-  ev.args_json =
-      "{\"running\":" +
-      std::to_string(running_tasks_[kind == TaskKind::kMap ? 0 : 1]) + "}";
-  events_.push_back(std::move(ev));
+  TraceEvent& ev = Append(TraceEvent::Type::kRunning, ToUs(now));
+  ev.kind = kind;
+  ev.count = running_tasks_[KindIndex(kind)];
 }
 
 void TraceExporter::OnTaskLaunch(SimTime now, std::int32_t job, TaskKind kind,
                                  std::int32_t index) {
-  const std::int64_t tid = AcquireLane(kind);
-  inflight_[{job, static_cast<int>(kind), index}].push_back(tid);
-  ++running_tasks_[kind == TaskKind::kMap ? 0 : 1];
+  const std::size_t lane = AcquireLane(kind, ++launches_);
+  lanes_[KindIndex(kind)].task[lane] = TaskKey(job, index);
+  ++running_tasks_[KindIndex(kind)];
   EmitRunningCounter(now, kind);
 }
 
@@ -170,126 +139,216 @@ void TraceExporter::OnTaskCompletion(SimTime now, std::int32_t job,
                                      TaskKind kind, std::int32_t index,
                                      const TaskTiming& timing,
                                      bool succeeded) {
-  std::size_t& running = running_tasks_[kind == TaskKind::kMap ? 0 : 1];
+  std::size_t& running = running_tasks_[KindIndex(kind)];
   if (running > 0) --running;  // guard: observer may be installed mid-run
   EmitRunningCounter(now, kind);
-  const auto key = std::make_tuple(job, static_cast<int>(kind), index);
-  std::int64_t tid;
-  const auto it = inflight_.find(key);
-  if (it != inflight_.end() && !it->second.empty()) {
-    // FIFO among concurrent attempts of the same task: the earliest launch
-    // completes first in every simulator here.
-    tid = it->second.front();
-    it->second.erase(it->second.begin());
-    if (it->second.empty()) inflight_.erase(it);
-  } else {
-    // Completion without a matching launch (observer installed mid-run):
-    // still render the slice on a fresh lane.
-    tid = AcquireLane(kind);
+  Lanes& lanes = lanes_[KindIndex(kind)];
+  const std::uint64_t key = TaskKey(job, index);
+  const std::size_t count = lanes.task.size();
+  std::size_t lane = count;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (lanes.task[i] == key && lanes.launch[i] != 0 &&
+        (lane == count || lanes.launch[i] < lanes.launch[lane]))
+      lane = i;
   }
-  EmitTask(tid, job, kind, index, timing, succeeded);
-  ReleaseLane(kind, tid);
+  // A completion without a matching launch (observer installed mid-run)
+  // still renders its slice, on a fresh lane.
+  if (lane == count) lane = AcquireLane(kind, ++launches_);
+  EmitTask(LaneBase(kind) + static_cast<std::int64_t>(lane), job, kind, index,
+           timing, succeeded);
+  lanes.launch[lane] = 0;
 }
 
 void TraceExporter::EmitTask(std::int64_t tid, std::int32_t job,
                              TaskKind kind, std::int32_t index,
                              const TaskTiming& timing, bool succeeded) {
-  const std::string args = "{\"job\":" + std::to_string(job) +
-                           ",\"index\":" + std::to_string(index) +
-                           ",\"succeeded\":" +
-                           (succeeded ? "true" : "false") + "}";
-  TraceEvent ev;
-  ev.name = TaskLabel(job, kind, index);
-  ev.category = succeeded ? TaskKindName(kind) : "failed";
-  ev.phase = 'X';
-  ev.ts_us = ToUs(timing.start);
+  TraceEvent& ev = Append(TraceEvent::Type::kTask, ToUs(timing.start));
+  ev.kind = kind;
+  ev.succeeded = succeeded;
+  ev.job = job;
+  ev.index = index;
   ev.dur_us = ToUs(std::max(0.0, timing.end - timing.start));
   ev.tid = tid;
-  ev.args_json = args;
-  events_.push_back(std::move(ev));
 
   // Nested shuffle/reduce slices when the phase boundary falls strictly
   // inside the task (reduces only; maps have shuffle_end == start).
   if (kind == TaskKind::kReduce && timing.shuffle_end > timing.start &&
       timing.shuffle_end < timing.end) {
-    TraceEvent shuffle;
-    shuffle.name = "shuffle";
-    shuffle.category = "phase";
-    shuffle.phase = 'X';
-    shuffle.ts_us = ToUs(timing.start);
+    TraceEvent& shuffle =
+        Append(TraceEvent::Type::kShufflePhase, ToUs(timing.start));
     shuffle.dur_us = ToUs(timing.shuffle_end - timing.start);
     shuffle.tid = tid;
-    events_.push_back(std::move(shuffle));
-    TraceEvent reduce;
-    reduce.name = "reduce";
-    reduce.category = "phase";
-    reduce.phase = 'X';
-    reduce.ts_us = ToUs(timing.shuffle_end);
+    TraceEvent& reduce =
+        Append(TraceEvent::Type::kReducePhase, ToUs(timing.shuffle_end));
     reduce.dur_us = ToUs(timing.end - timing.shuffle_end);
     reduce.tid = tid;
-    events_.push_back(std::move(reduce));
   }
 }
 
-std::string TraceExporter::ToJson() const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto append = [&out, &first](const std::string& obj) {
-    if (!first) out += ",";
-    first = false;
-    out += obj;
-  };
+void TraceExporter::Write(JsonWriter& out) const {
+  out.Raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
 
   // Metadata: process name, then one thread_name per track actually used,
   // sorted so the viewer shows jobs, then map slots, then reduce slots.
-  append("{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
-         ",\"name\":\"process_name\",\"args\":{\"name\":\"" +
-         JsonEscape(options_.process_name) + "\"}}");
-  const auto thread_meta = [&](std::int64_t tid, const std::string& name,
-                               std::int64_t sort_index) {
-    append("{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
-           ",\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-           JsonEscape(name) + "\"}}");
-    append("{\"ph\":\"M\",\"pid\":" + std::to_string(kPid) +
-           ",\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":" +
-           std::to_string(sort_index) + "}}");
-  };
-  thread_meta(kJobsTid, "jobs", 0);
-  for (std::size_t i = 0; i < lane_busy_[0].size(); ++i) {
-    thread_meta(kMapLaneBase + static_cast<std::int64_t>(i),
-                "map slot " + std::to_string(i),
-                10 + static_cast<std::int64_t>(i));
+  out.Raw("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{"
+          "\"name\":");
+  out.String(options_.process_name);
+  out.Raw("}}");
+  ThreadNameStart(out, kJobsTid);
+  out.Raw("jobs");
+  ThreadNameEnd(out, kJobsTid, 0);
+  for (std::size_t i = 0; i < lanes_[0].launch.size(); ++i) {
+    const std::int64_t lane = static_cast<std::int64_t>(i);
+    ThreadNameStart(out, kMapLaneBase + lane);
+    out.Raw("map slot ");
+    out.UInt(i);
+    ThreadNameEnd(out, kMapLaneBase + lane, 10 + lane);
   }
-  for (std::size_t i = 0; i < lane_busy_[1].size(); ++i) {
-    thread_meta(kReduceLaneBase + static_cast<std::int64_t>(i),
-                "reduce slot " + std::to_string(i),
-                100000 + static_cast<std::int64_t>(i));
+  for (std::size_t i = 0; i < lanes_[1].launch.size(); ++i) {
+    const std::int64_t lane = static_cast<std::int64_t>(i);
+    ThreadNameStart(out, kReduceLaneBase + lane);
+    out.Raw("reduce slot ");
+    out.UInt(i);
+    ThreadNameEnd(out, kReduceLaneBase + lane, 100000 + lane);
   }
 
+  using Type = TraceEvent::Type;
   for (const TraceEvent& ev : events_) {
-    std::string obj = "{\"name\":\"" + JsonEscape(ev.name) +
-                      "\",\"cat\":\"" + ev.category + "\",\"ph\":\"" +
-                      ev.phase + "\",\"ts\":" + JsonNumber(ev.ts_us) +
-                      ",\"pid\":" + std::to_string(kPid) +
-                      ",\"tid\":" + std::to_string(ev.tid);
-    if (ev.phase == 'X') obj += ",\"dur\":" + JsonNumber(ev.dur_us);
-    if (ev.phase == 'i') obj += ",\"s\":\"t\"";
-    if (!ev.args_json.empty()) obj += ",\"args\":" + ev.args_json;
-    obj += "}";
-    append(obj);
+    out.Raw(",{\"name\":\"");
+    switch (ev.type) {
+      case Type::kQueueDepth:
+        out.Raw("event_queue_depth\",\"cat\":\"queue\",\"ph\":\"C");
+        break;
+      case Type::kRunning:
+        out.Raw(ev.kind == TaskKind::kMap
+                    ? std::string_view("running_maps")
+                    : "running_reduces");
+        out.Raw("\",\"cat\":\"tasks\",\"ph\":\"C");
+        break;
+      case Type::kArrival:
+      case Type::kDeadline:
+      case Type::kCompletion:
+        out.Raw("job ");
+        out.Int(ev.job);
+        out.Raw(ev.type == Type::kArrival ? std::string_view(
+                                                " arrival\",\"cat\":\"job")
+                : ev.type == Type::kDeadline
+                    ? " deadline\",\"cat\":\"deadline"
+                    : " completion\",\"cat\":\"job");
+        out.Raw("\",\"ph\":\"i");
+        break;
+      case Type::kFault:
+        out.Escaped(FaultEventKindName(ev.fault));
+        out.Raw("\",\"cat\":\"fault\",\"ph\":\"i");
+        break;
+      case Type::kTask:
+        out.Raw(TaskKindName(ev.kind));
+        out.Char(' ');
+        out.Int(ev.job);
+        out.Char('.');
+        out.Int(ev.index);
+        out.Raw("\",\"cat\":\"");
+        out.Raw(ev.succeeded ? TaskKindName(ev.kind) : "failed");
+        out.Raw("\",\"ph\":\"X");
+        break;
+      case Type::kShufflePhase:
+        out.Raw("shuffle\",\"cat\":\"phase\",\"ph\":\"X");
+        break;
+      case Type::kReducePhase:
+        out.Raw("reduce\",\"cat\":\"phase\",\"ph\":\"X");
+        break;
+    }
+    out.Raw("\",\"ts\":");
+    out.Number(ev.ts_us);
+    out.Raw(",\"pid\":1,\"tid\":");
+    switch (ev.type) {
+      case Type::kQueueDepth:
+      case Type::kRunning:
+        out.Char('0');
+        break;
+      case Type::kArrival:
+      case Type::kDeadline:
+      case Type::kCompletion:
+      case Type::kFault:
+        out.Int(kJobsTid);
+        out.Raw(",\"s\":\"t\"");
+        break;
+      case Type::kTask:
+      case Type::kShufflePhase:
+      case Type::kReducePhase:
+        out.Int(ev.tid);
+        out.Raw(",\"dur\":");
+        out.Number(ev.dur_us);
+        break;
+    }
+    switch (ev.type) {
+      case Type::kQueueDepth:
+        out.Raw(",\"args\":{\"depth\":");
+        out.UInt(ev.count);
+        out.Char('}');
+        break;
+      case Type::kRunning:
+        out.Raw(",\"args\":{\"running\":");
+        out.UInt(ev.count);
+        out.Char('}');
+        break;
+      case Type::kArrival:
+      case Type::kCompletion:
+        out.Raw(",\"args\":{\"job\":");
+        out.Int(ev.job);
+        out.Raw(",\"name\":");
+        out.String(ev.name);
+        out.Char('}');
+        break;
+      case Type::kDeadline:
+        out.Raw(",\"args\":{\"job\":");
+        out.Int(ev.job);
+        out.Char('}');
+        break;
+      case Type::kFault:
+        out.Raw(",\"args\":{\"node\":");
+        out.Int(ev.node);
+        if (ev.job >= 0) {
+          out.Raw(",\"job\":");
+          out.Int(ev.job);
+          out.Raw(",\"kind\":\"");
+          out.Raw(TaskKindName(ev.kind));
+          out.Raw("\",\"index\":");
+          out.Int(ev.index);
+        }
+        out.Char('}');
+        break;
+      case Type::kTask:
+        out.Raw(",\"args\":{\"job\":");
+        out.Int(ev.job);
+        out.Raw(",\"index\":");
+        out.Int(ev.index);
+        out.Raw(ev.succeeded ? std::string_view(",\"succeeded\":true}")
+                             : ",\"succeeded\":false}");
+        break;
+      case Type::kShufflePhase:
+      case Type::kReducePhase:
+        break;
+    }
+    out.Char('}');
   }
-  out += "]}";
-  return out;
+  out.Raw("]}");
+}
+
+std::string TraceExporter::ToJson() const {
+  std::string text;
+  {
+    JsonWriter out(text);
+    Write(out);
+  }
+  return text;
 }
 
 void TraceExporter::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("TraceExporter: cannot write " + path);
-  out << ToJson() << "\n";
-  if (!out)
-    throw std::runtime_error("TraceExporter: write failed for " + path);
+  WriteJsonFile(path, "TraceExporter", [this](JsonWriter& out) {
+    Write(out);
+    out.Char('\n');
+  });
 }
 
 }  // namespace simmr::obs

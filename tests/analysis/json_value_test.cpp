@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace simmr::analysis {
 namespace {
@@ -64,6 +66,42 @@ TEST(JsonValue, RejectsMalformedInput) {
   EXPECT_THROW(JsonValue::Parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(JsonValue::Parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(JsonValue::Parse("NaN"), std::runtime_error);
+}
+
+/// The offset a parse error names ("json: ... at offset N"), or -1 when
+/// the text parses.
+long ErrorOffset(const std::string& text, std::string* what = nullptr) {
+  try {
+    JsonValue::Parse(text);
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    if (what != nullptr) *what = message;
+    const std::size_t at = message.rfind("at offset ");
+    return at == std::string::npos ? -2 : std::stol(message.substr(at + 10));
+  }
+  return -1;
+}
+
+TEST(JsonValue, NumbersFollowTheJsonGrammar) {
+  std::string what;
+  EXPECT_EQ(ErrorOffset("[-.5]", &what), 1);
+  EXPECT_NE(what.find("bad number"), std::string::npos) << what;
+  EXPECT_EQ(ErrorOffset("[01]"), 1);
+  EXPECT_EQ(ErrorOffset("{\"a\":1.}"), 5);
+  EXPECT_EQ(ErrorOffset("1e"), 0);
+  EXPECT_EQ(ErrorOffset("0x10"), 0);
+  EXPECT_EQ(ErrorOffset("+1"), 0);
+  EXPECT_EQ(ErrorOffset("[1,1e400]", &what), 3);
+  EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  EXPECT_EQ(ErrorOffset("-1e400"), 0);
+  // Valid forms still parse, exactly.
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("-0.5").AsNumber(), -0.5);
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("0").AsNumber(), 0.0);
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("1E+2").AsNumber(), 100.0);
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("[2.5e-3]").AsArray()[0].AsNumber(),
+                   0.0025);
+  EXPECT_EQ(JsonValue::Parse("1.7976931348623157e308").AsNumber(),
+            std::numeric_limits<double>::max());
 }
 
 TEST(JsonValue, RejectsKindMismatches) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -72,6 +73,69 @@ TEST(Timeline, RejectsMissingFileBadSchemaAndMalformedLines) {
   std::remove(bad_schema.c_str());
   std::remove(bad_json.c_str());
   std::remove(empty.c_str());
+}
+
+/// The error LoadTimeline raises on a document whose second line is
+/// `window`, or "" when it loads.
+std::string LoadError(const std::string& window) {
+  const std::string path =
+      WriteTemp("timeline_strict.jsonl", std::string(kHeader) + window + "\n");
+  std::string error;
+  try {
+    LoadTimeline(path);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+void ExpectRejected(const std::string& window, const std::string& what) {
+  const std::string error = LoadError(window);
+  EXPECT_NE(error.find("timeline_strict.jsonl:2:"), std::string::npos)
+      << window << " -> " << (error.empty() ? "loaded" : error);
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+TEST(Timeline, CountsAndWindowIndicesMustBeWholeAndNonNegative) {
+  ExpectRejected("{\"window\":4.9,\"t0\":0,\"t1\":60}",
+                 "'window': expected a non-negative integer");
+  ExpectRejected("{\"window\":0,\"events\":-7}",
+                 "'events': expected a non-negative integer");
+  ExpectRejected("{\"window\":0,\"events\":1e30}",
+                 "'events': expected a non-negative integer");
+  ExpectRejected("{\"window\":0,\"jobs_active\":9007199254740993}",
+                 "'jobs_active': 9007199254740993 is not in");
+  ExpectRejected("{\"window\":0,\"task_failures\":\"3\"}",
+                 "'task_failures': expected a non-negative integer");
+  EXPECT_EQ(LoadError("{\"window\":9007199254740992,\"events\":0}"), "");
+}
+
+TEST(Timeline, WindowKeysAreTheWritersOnceEach) {
+  ExpectRejected("{\"window\":0,\"events\":1,\"events\":2}",
+                 "duplicate key 'events'");
+  ExpectRejected("{\"window\":0,\"mystery\":1}",
+                 "unknown key 'mystery' in a window");
+  ExpectRejected("{\"window\":0,\"partial\":1}",
+                 "'partial': expected true or false");
+  ExpectRejected("{\"window\":0,\"t0\":01}", "malformed number");
+  ExpectRejected("{\"window\":0,\"metrics\":[1]}",
+                 "expected a string, number, true, false or object");
+  ExpectRejected("{\"window\":0} trailing", "trailing bytes");
+}
+
+TEST(Timeline, SkipsTheMetricsSnapshotAndReadsQuotedNonFinite) {
+  const std::string path = WriteTemp(
+      "timeline_metrics.jsonl",
+      std::string(kHeader) +
+          "{\"window\":0,\"t0\":0,\"t1\":60,\"events\":3,"
+          "\"queue_depth\":\"+Inf\",\"metrics\":{\"a{b=\\\"c\\\"}\":1,"
+          "\"wall\":\"NaN\"}}\n");
+  const Timeline t = LoadTimeline(path);
+  ASSERT_EQ(t.windows.size(), 1u);
+  EXPECT_EQ(t.windows[0].events, 3u);
+  EXPECT_TRUE(std::isinf(t.windows[0].queue_depth));
+  std::remove(path.c_str());
 }
 
 Timeline StragglerFixture() {

@@ -1,14 +1,17 @@
 // EventLogObserver + simmr.eventlog.v1 format tests: lossless round-trip,
 // exact double formatting, kill-path accounting under preemptive MaxEDF,
-// job-id offsets and parse-error handling.
+// job-id offsets, and the strict reader's located parse errors.
 #include "obs/event_log.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/simmr.h"
@@ -316,6 +319,167 @@ TEST(EventLog, ParseRejectsUnknownEventKind) {
       "\"simulator\":\"m\"}\n"
       "{\"k\":\"teleport\",\"t\":1}\n");
   EXPECT_THROW(ParseEventLog(in), std::runtime_error);
+}
+
+const char kHeaderLine[] =
+    "{\"schema\":\"simmr.eventlog.v1\",\"tool\":\"t\",\"scenario\":\"s\","
+    "\"simulator\":\"m\"}\n";
+
+/// The error ParseEventLog raises on a log whose second line is `line`,
+/// or "" when it accepts it.
+std::string ParseError(const std::string& line) {
+  std::istringstream in(kHeaderLine + line + "\n");
+  try {
+    ParseEventLog(in, "run.jsonl");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Expects the line to be rejected with "run.jsonl:2:<offset>: ...".
+void ExpectRejectedAt(const std::string& line, std::size_t offset,
+                      const std::string& what) {
+  const std::string error = ParseError(line);
+  const std::string where = "run.jsonl:2:" + std::to_string(offset) + ": ";
+  EXPECT_EQ(error.substr(0, where.size()), where)
+      << line << " -> " << (error.empty() ? "accepted" : error);
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+TEST(EventLogStrict, IntegerFieldsRejectFractions) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":3.7}", 28,
+                   "'job': expected an integer");
+  ExpectRejectedAt(
+      "{\"k\":\"launch\",\"t\":1,\"job\":0,\"kind\":\"map\",\"index\":-2.5}",
+      49, "'index': expected an integer");
+}
+
+TEST(EventLogStrict, IntegerFieldsRejectValuesOutOfRange) {
+  // Past int32 the old reader cast a double out of range: undefined.
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":1e20}", 28,
+                   "'job': expected an integer");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":2147483648}", 28,
+                   "'job': 2147483648 is not in [-2147483648, 2147483647]");
+  ExpectRejectedAt(
+      "{\"k\":\"dequeue\",\"t\":1,\"type\":\"HEARTBEAT\",\"depth\":-1}", 48,
+      "'depth': expected a non-negative integer");
+}
+
+TEST(EventLogStrict, RejectsTrailingBytesAfterTheObject) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":3}x", 30,
+                   "trailing bytes after the object");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":3}{}", 30,
+                   "trailing bytes after the object");
+  // Whitespace, a CR from a CRLF file included, is not a trailing byte.
+  EXPECT_EQ(ParseError("{\"k\":\"job_done\",\"t\":1,\"job\":3} \r"), "");
+}
+
+TEST(EventLogStrict, NumbersFollowTheJsonGrammar) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":0x10,\"job\":3}", 20,
+                   "malformed number");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":inf,\"job\":3}", 20,
+                   "expected a string, number, true or false");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":.5,\"job\":3}", 20,
+                   "expected a string, number, true or false");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":01,\"job\":3}", 20,
+                   "malformed number");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1.,\"job\":3}", 20,
+                   "malformed number");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1e999,\"job\":3}", 20,
+                   "out of the double range");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":\"inf\",\"job\":3}", 20,
+                   "'t': expected a number");
+}
+
+TEST(EventLogStrict, RejectsDuplicateKeys) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":3,\"job\":4}", 30,
+                   "duplicate key 'job'");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"k\":\"job_done\",\"t\":1,\"job\":3}",
+                   16, "duplicate key 'k'");
+}
+
+TEST(EventLogStrict, RejectsValuesOfTheWrongType) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":true}", 28,
+                   "'job': expected an integer");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":\"3\"}", 28,
+                   "'job': expected an integer");
+  ExpectRejectedAt(
+      "{\"k\":\"task_done\",\"t\":1,\"job\":0,\"kind\":\"map\",\"index\":0,"
+      "\"start\":0,\"shuffle_end\":0,\"end\":1,\"ok\":1}",
+      93, "'ok': expected true or false");
+  ExpectRejectedAt("{\"k\":7,\"t\":1,\"job\":3}", 5, "'k': expected a string");
+}
+
+TEST(EventLogStrict, RejectsUnknownAndMissingKeys) {
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1,\"job\":3,\"extra\":0}", 30,
+                   "unknown key 'extra' in a job_done record");
+  ExpectRejectedAt("{\"k\":\"job_done\",\"t\":1}", 22,
+                   "missing key 'job' in a job_done record");
+  ExpectRejectedAt("{\"t\":1,\"job\":3}", 15, "missing key 'k'");
+  ExpectRejectedAt("{\"k\":\"launch\",\"t\":1,\"job\":0,\"kind\":\"gpu\","
+                   "\"index\":0}",
+                   35, "unknown task kind 'gpu'");
+}
+
+TEST(EventLogStrict, HeaderKeysAreFixedToo) {
+  std::istringstream extra(
+      "{\"schema\":\"simmr.eventlog.v1\",\"tool\":\"t\",\"scenario\":\"s\","
+      "\"simulator\":\"m\",\"host\":\"x\"}\n");
+  EXPECT_THROW(ParseEventLog(extra), std::runtime_error);
+  std::istringstream missing("{\"schema\":\"simmr.eventlog.v1\"}\n");
+  EXPECT_THROW(ParseEventLog(missing), std::runtime_error);
+  std::istringstream empty("");
+  EXPECT_THROW(ParseEventLog(empty), std::runtime_error);
+}
+
+TEST(EventLogStrict, QuotedNonFiniteDoublesRoundTrip) {
+  EventLog log;
+  log.header = {"t", "s", "simmr"};
+  LogEvent arrival;
+  arrival.kind = LogEvent::Kind::kJobArrival;
+  arrival.t = std::numeric_limits<double>::infinity();
+  arrival.job = 0;
+  arrival.name = "job";
+  arrival.deadline = std::numeric_limits<double>::quiet_NaN();
+  log.events.push_back(arrival);
+  LogEvent done;
+  done.kind = LogEvent::Kind::kTaskCompletion;
+  done.t = 5.0;
+  done.job = 0;
+  done.timing = {-std::numeric_limits<double>::infinity(), 1.0,
+                 std::numeric_limits<double>::infinity()};
+  done.succeeded = false;
+  log.events.push_back(done);
+
+  const std::string jsonl = SerializeEventLog(log);
+  EXPECT_NE(jsonl.find("\"t\":\"+Inf\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"deadline\":\"NaN\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"start\":\"-Inf\""), std::string::npos);
+  std::istringstream in(jsonl);
+  const EventLog parsed = ParseEventLog(in);
+  ASSERT_EQ(parsed.events.size(), 2u);
+  EXPECT_TRUE(std::isinf(parsed.events[0].t));
+  EXPECT_TRUE(std::isnan(parsed.events[0].deadline));
+  EXPECT_EQ(parsed.events[1], done);
+  EXPECT_EQ(SerializeEventLog(parsed), jsonl);
+}
+
+TEST(EventLogStrict, FileErrorsNameThePath) {
+  const std::string path = testing::TempDir() + "event_log_strict.jsonl";
+  {
+    std::ofstream out(path);
+    out << kHeaderLine << "{\"k\":\"job_done\",\"t\":1,\"job\":3}\n\n"
+        << "{\"k\":\"job_done\",\"t\":1,\"job\":3.5}\n";
+  }
+  try {
+    ReadEventLogFile(path);
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).substr(0, path.size() + 6),
+              path + ":4:28:");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EventLog, EscapedJobNamesRoundTrip) {

@@ -212,12 +212,15 @@ TEST(MetricsRegistry, ScalarSnapshotCoversCountersAndGauges) {
   r.AddGauge("g", "help", {{"kind", "map"}}).Set(2.5);
   r.AddHistogram("h", "help", {1.0}).Observe(0.5);  // skipped
 
-  const auto snapshot = r.ScalarSnapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].key, "c_total");
-  EXPECT_DOUBLE_EQ(snapshot[0].value, 5.0);
-  EXPECT_EQ(snapshot[1].key, "g{kind=\"map\"}");
-  EXPECT_DOUBLE_EQ(snapshot[1].value, 2.5);
+  const std::vector<std::string> keys = r.ScalarKeys();
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0], "c_total");
+  EXPECT_EQ(keys[1], "g{kind=\"map\"}");
+  std::vector<double> values = {-1.0};  // appended to, not replaced
+  ASSERT_EQ(r.AppendScalarValues(values), 2u);
+  ASSERT_EQ(values.size(), 3u);
+  EXPECT_DOUBLE_EQ(values[1], 5.0);
+  EXPECT_DOUBLE_EQ(values[2], 2.5);
 }
 
 TEST(MetricsRegistry, WriteFileRoundTrips) {
