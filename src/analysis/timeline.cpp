@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <stdexcept>
 
@@ -102,23 +103,6 @@ constexpr std::size_t kNumWindowKeys = std::size(kWindowKeys);
 constexpr std::string_view kHeaderKeys[] = {"schema", "tool", "scenario",
                                             "simulator", "window_s"};
 
-/// Finds each member's key, starting after the previous match: the
-/// writer's order makes that the first comparison.
-class KeyCursor {
- public:
-  std::size_t Find(const obs::JsonMember& m) {
-    for (std::size_t tried = 0; tried < kNumWindowKeys; ++tried) {
-      const std::size_t k = next_;
-      next_ = next_ + 1 == kNumWindowKeys ? 0 : next_ + 1;
-      if (kWindowKeys[k].name == m.key) return k;
-    }
-    obs::ThrowUnknownKey(m, "a window");
-  }
-
- private:
-  std::size_t next_ = 0;
-};
-
 std::uint64_t Count(const obs::JsonMember& m) {
   return obs::JsonMemberUnsigned(m, kMaxCount);
 }
@@ -129,12 +113,13 @@ TimelineWindow ParseWindow(std::string_view line) {
       obs::SplitJsonLine(line, members, kNumWindowKeys,
                          /*nested_objects=*/true);
   TimelineWindow w;
-  KeyCursor cursor;
   std::uint32_t seen = 0;
   static_assert(kNumWindowKeys <= 32);
   for (std::size_t i = 0; i < n; ++i) {
     const obs::JsonMember& m = members[i];
-    const std::size_t k = cursor.Find(m);
+    std::size_t k = 0;
+    while (k < kNumWindowKeys && kWindowKeys[k].name != m.key) ++k;
+    if (k == kNumWindowKeys) obs::ThrowUnknownKey(m, "a window");
     if ((seen >> k & 1) != 0) obs::ThrowDuplicateKey(m);
     seen |= std::uint32_t{1} << k;
     switch (kWindowKeys[k].field) {
@@ -362,34 +347,26 @@ std::string RenderText(const Timeline& t, const TimelineOptions& opt) {
 }  // namespace
 
 Timeline LoadTimeline(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) throw std::runtime_error("cannot open " + path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
   Timeline t;
   std::size_t line_no = 0;
   bool saw_header = false;
-  bool read_ok = false;
-  try {
-    read_ok = obs::ForEachFileLine(file, [&](std::string_view line) {
-      ++line_no;
-      if (line.empty()) return;
-      try {
-        if (saw_header) {
-          t.windows.push_back(ParseWindow(line));
-        } else {
-          ParseHeader(line, t);
-          saw_header = true;
-        }
-      } catch (const obs::JsonLineError& e) {
-        throw std::runtime_error(path + ":" + std::to_string(line_no) + ":" +
-                                 std::to_string(e.offset()) + ": " +
-                                 e.what());
+  const bool read_ok = obs::ForEachLine(in, [&](std::string_view line) {
+    ++line_no;
+    if (line.empty()) return;
+    try {
+      if (saw_header) {
+        t.windows.push_back(ParseWindow(line));
+      } else {
+        ParseHeader(line, t);
+        saw_header = true;
       }
-    });
-  } catch (...) {
-    std::fclose(file);
-    throw;
-  }
-  std::fclose(file);
+    } catch (const obs::JsonLineError& e) {
+      throw std::runtime_error(path + ":" + std::to_string(line_no) + ":" +
+                               std::to_string(e.offset()) + ": " + e.what());
+    }
+  });
   if (!read_ok) throw std::runtime_error("failed reading " + path);
   if (!saw_header)
     throw std::runtime_error(path + ": empty document (no header line)");

@@ -1,13 +1,11 @@
 #include "obs/event_log.h"
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
-#include <system_error>
 #include <unordered_map>
 
 #include "obs/json_line.h"
@@ -331,8 +329,6 @@ class LogReader {
     return std::move(log_);
   }
 
-  void Reserve(std::size_t events) { log_.events.reserve(events); }
-
  private:
   void Header(std::string_view line) {
     constexpr std::size_t kKeys = std::size(kHeaderKeys);
@@ -459,35 +455,15 @@ class LogReader {
 
 EventLog ParseEventLog(std::istream& in, std::string_view source) {
   LogReader reader(source);
-  ForEachLine(
-      [&in](char* dst, std::size_t capacity) {
-        in.read(dst, static_cast<std::streamsize>(capacity));
-        return static_cast<std::size_t>(in.gcount());
-      },
-      [&reader](std::string_view line) { reader.Line(line); });
+  if (!ForEachLine(in, [&reader](std::string_view line) { reader.Line(line); }))
+    throw std::runtime_error("failed reading " + std::string(source));
   return reader.Finish();
 }
 
 EventLog ReadEventLogFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) throw std::runtime_error("cannot open " + path);
-  LogReader reader(path);
-  std::error_code ec;
-  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
-  // Records run ~100 bytes: the guess spares the regrowth copies, and the
-  // untouched tail of a high one is never paged in.
-  if (!ec) reader.Reserve(static_cast<std::size_t>(bytes / 64));
-  bool read_ok = false;
-  try {
-    read_ok = ForEachFileLine(
-        file, [&reader](std::string_view line) { reader.Line(line); });
-  } catch (...) {
-    std::fclose(file);
-    throw;
-  }
-  std::fclose(file);
-  if (!read_ok) throw std::runtime_error("failed reading " + path);
-  return reader.Finish();
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  return ParseEventLog(in, path);
 }
 
 }  // namespace simmr::obs

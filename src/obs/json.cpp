@@ -1,9 +1,9 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <system_error>
 
@@ -31,110 +31,27 @@ char* General(char* out, double value, int precision) {
       .ptr;
 }
 
-/// The shortest round-trip digits of a finite value: `count` significant
-/// digits (no trailing zeros) and the decimal exponent of the first one.
-struct ShortestDigits {
-  char digits[20];
-  int count = 0;
-  int exponent = 0;
-  bool negative = false;
-};
-
-ShortestDigits Shortest(double value) {
+/// Significant digits in the shortest decimal that parses back to the
+/// finite `value`: to_chars' shortest scientific form is "[-]d[.ddd]e...".
+int ShortestDigitCount(double value) {
   char text[kMaxJsonNumberChars];
   const char* end =
       std::to_chars(text, text + sizeof text, value,
                     std::chars_format::scientific)
           .ptr;
-  // "[-]d[.ddd]e(+|-)dd[d]"
-  ShortestDigits d;
-  const char* p = text;
-  if (*p == '-') {
-    d.negative = true;
-    ++p;
-  }
-  for (; *p != 'e'; ++p) {
-    if (*p != '.') d.digits[d.count++] = *p;
-  }
-  ++p;  // 'e'
-  const bool negative_exponent = *p == '-';
-  ++p;
-  int exponent = 0;
-  for (; p != end; ++p) exponent = exponent * 10 + (*p - '0');
-  d.exponent = negative_exponent ? -exponent : exponent;
-  return d;
+  const char* first = text[0] == '-' ? text + 1 : text;
+  const char* exponent = static_cast<const char*>(
+      std::memchr(first, 'e', static_cast<std::size_t>(end - first)));
+  const int chars = static_cast<int>(exponent - first);
+  return chars == 1 ? 1 : chars - 1;  // less the '.'
 }
 
-/// printf's "%.<precision>g" of a value whose correctly rounded
-/// `precision`-digit form is `d` (so d.count <= precision): scientific when
-/// the exponent is below -4 or at least the precision, fixed otherwise,
-/// trailing zeros dropped either way.
-char* ComposeGeneral(char* out, const ShortestDigits& d, int precision) {
-  if (d.negative) *out++ = '-';
-  const int x = d.exponent;
-  if (x < -4 || x >= precision) {
-    *out++ = d.digits[0];
-    if (d.count > 1) {
-      *out++ = '.';
-      std::memcpy(out, d.digits + 1, static_cast<std::size_t>(d.count - 1));
-      out += d.count - 1;
-    }
-    *out++ = 'e';
-    *out++ = x < 0 ? '-' : '+';
-    const int magnitude = x < 0 ? -x : x;
-    if (magnitude < 10) *out++ = '0';
-    return std::to_chars(out, out + 4, magnitude).ptr;
-  }
-  if (x < 0) {
-    *out++ = '0';
-    *out++ = '.';
-    for (int i = -1; i > x; --i) *out++ = '0';
-    std::memcpy(out, d.digits, static_cast<std::size_t>(d.count));
-    return out + d.count;
-  }
-  const int integer_digits = x + 1;
-  if (d.count <= integer_digits) {
-    std::memcpy(out, d.digits, static_cast<std::size_t>(d.count));
-    out += d.count;
-    for (int i = d.count; i < integer_digits; ++i) *out++ = '0';
-    return out;
-  }
-  std::memcpy(out, d.digits, static_cast<std::size_t>(integer_digits));
-  out += integer_digits;
-  *out++ = '.';
-  const int fraction = d.count - integer_digits;
-  std::memcpy(out, d.digits + integer_digits,
-              static_cast<std::size_t>(fraction));
-  return out + fraction;
-}
-
-/// Rounds `d` (more than `precision` digits) to `precision` digits, half
-/// up, dropping trailing zeros. False, leaving `d` alone, when the digits
-/// past `precision` are exactly one 5: the value itself may lie on either
-/// side of that midpoint.
-bool RoundTo(ShortestDigits& d, int precision) {
-  const char next = d.digits[precision];
-  if (next == '5' && d.count == precision + 1) return false;
-  d.count = precision;
-  if (next >= '5') {
-    int i = precision - 1;
-    while (i >= 0 && d.digits[i] == '9') --i;
-    if (i < 0) {  // 99...9 rounds to 1 at the next power of ten
-      d.digits[0] = '1';
-      d.count = 1;
-      ++d.exponent;
-      return true;
-    }
-    ++d.digits[i];
-    d.count = i + 1;
-  }
-  while (d.count > 1 && d.digits[d.count - 1] == '0') --d.count;
-  return true;
-}
-
-bool IsSubnormal(double value) {
-  return value != 0.0 &&
-         std::fabs(value) < std::numeric_limits<double>::min();
+/// Whether the finite, nonzero `value` has an all-zero significand field:
+/// a normal power of two.
+bool IsPowerOfTwo(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return (bits & ((std::uint64_t{1} << 52) - 1)) == 0;
 }
 
 bool RoundTrips(const char* first, const char* last, double value) {
@@ -172,49 +89,24 @@ void Escape(std::string_view s, Emit&& emit) {
 
 char* FormatJsonNumber(char* out, double value) {
   if (!std::isfinite(value)) return Put(out, NonFinite(value));
-  if (!IsSubnormal(value)) {
-    ShortestDigits d = Shortest(value);
-    // A value with at most 12 shortest digits rounds to exactly those
-    // digits at precision 12 (any decimal of <= 15 digits survives a trip
-    // through a normal double). A longer one rounds as its shortest digits
-    // do, unless those end in a lone 5 past the 12th: no 13-digit midpoint
-    // can lie strictly between the value and its shortest digits, or it
-    // would be a shorter (or closer) round-trip form.
-    if (d.count <= 12 || RoundTo(d, 12)) return ComposeGeneral(out, d, 12);
-  }
   return General(out, value, 12);
 }
 
 char* FormatExactJsonNumber(char* out, double value) {
   if (!std::isfinite(value)) return Put(out, NonFinite(value));
-  if (IsSubnormal(value)) {
-    // Subnormals carry fewer than 15 significant digits, so their shortest
-    // digits need not be what "%.15g" prints: try each precision in turn.
-    for (const int precision : {15, 16}) {
-      char* end = General(out, value, precision);
-      if (RoundTrips(out, end, value)) return end;
-    }
+  // The form wanted is the first of "%.15g", "%.16g", "%.17g" that parses
+  // back to `value`. No decimal of fewer than ShortestDigitCount(value)
+  // digits does, so every precision below that fails. At any precision p
+  // at or above it, printf's correctly rounded p digits lie no farther
+  // from the value than the shortest digits do, so they parse back too,
+  // as long as the decimals that round to `value` reach as far below it
+  // as above. They do not at a power of two, whose next smaller double is
+  // half as far away: there the nearest 16 digits may miss, and are tried.
+  const int precision = std::max(15, ShortestDigitCount(value));
+  char* end = General(out, value, precision);
+  if (precision == 16 && IsPowerOfTwo(value) && !RoundTrips(out, end, value))
     return General(out, value, 17);
-  }
-  // No decimal of fewer than `count` digits parses back to `value`, so
-  // every precision below it fails the round trip, and at precision
-  // max(15, count) printf's correctly rounded digits are the shortest
-  // ones: at 15 and below by the argument above; at 16 and 17 because the
-  // nearest decimal of that length lies no farther from the value than
-  // the shortest one, so it round-trips and is the one the shortest form
-  // picks (ties go to even in both). The exception: just above a power of
-  // two the next smaller double is half as far away, and the nearest 16
-  // digits may round-trip or not, so that case asks printf's digits.
-  const ShortestDigits d = Shortest(value);
-  if (d.count <= 15) return ComposeGeneral(out, d, 15);
-  if (d.count == 17) return ComposeGeneral(out, d, 17);
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
-  if ((bits & ((std::uint64_t{1} << 52) - 1)) != 0)
-    return ComposeGeneral(out, d, 16);
-  char* end = General(out, value, 16);
-  if (RoundTrips(out, end, value)) return end;
-  return General(out, value, 17);
+  return end;
 }
 
 JsonWriter::JsonWriter(std::string& out)

@@ -4,7 +4,7 @@
 // SplitJsonLine, which checks the JSON syntax of the whole line and hands
 // back its members as views into it (no allocation, no value tree), then
 // convert just the members they model; ForEachLine feeds them the lines of
-// a file read in bulk chunks. A number follows the JSON grammar
+// a stream read in bulk chunks. A number follows the JSON grammar
 // (RFC 8259: no leading '+', no leading zeros, no bare '.', no hex, no
 // inf/nan) and is converted with std::from_chars; a value that does not
 // fit its field is an error, never a silent truncation. Errors carry the
@@ -13,8 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
+#include <istream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -93,12 +93,11 @@ bool JsonMemberBool(const JsonMember& m);
 /// type.
 std::string_view JsonMemberString(const JsonMember& m, std::string& unescaped);
 
-/// Calls `line(std::string_view)` for every line of an input read in bulk
-/// through `read(char* dst, std::size_t capacity)`, which returns the bytes
-/// it read (0 at the end). Lines are passed without their newline; a last
-/// line without one is passed too.
-template <class Read, class Line>
-void ForEachLine(Read&& read, Line&& line) {
+/// Calls `line(std::string_view)` for every line of `in`, read in bulk
+/// chunks. Lines are passed without their newline; a last line without one
+/// is passed too. Returns false on a read error.
+template <class Line>
+bool ForEachLine(std::istream& in, Line&& line) {
   std::vector<char> buffer(std::size_t{1} << 20);
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -114,31 +113,19 @@ void ForEachLine(Read&& read, Line&& line) {
     }
     if (at_end) {
       if (end > begin) line(std::string_view(first, end - begin));
-      return;
+      return !in.bad();
     }
     // Keep the partial line; grow the buffer when one line fills it.
     std::memmove(buffer.data(), first, end - begin);
     end -= begin;
     begin = 0;
     if (end == buffer.size()) buffer.resize(buffer.size() * 2);
-    const std::size_t got = read(buffer.data() + end, buffer.size() - end);
+    in.read(buffer.data() + end,
+            static_cast<std::streamsize>(buffer.size() - end));
+    const std::size_t got = static_cast<std::size_t>(in.gcount());
     if (got == 0) at_end = true;
     end += got;
   }
-}
-
-/// ForEachLine over an open file. Returns false on a read error.
-template <class Line>
-bool ForEachFileLine(std::FILE* file, Line&& line) {
-  bool failed = false;
-  ForEachLine(
-      [&](char* dst, std::size_t capacity) {
-        const std::size_t got = std::fread(dst, 1, capacity, file);
-        if (got == 0 && std::ferror(file)) failed = true;
-        return got;
-      },
-      line);
-  return !failed;
 }
 
 }  // namespace simmr::obs

@@ -154,7 +154,6 @@ Counter& MetricsRegistry::AddCounter(const std::string& name,
                                      LabelSet labels) {
   Entry& entry = Register(name, help, std::move(labels), Type::kCounter);
   entry.counter = std::make_unique<Counter>();
-  scalars_.push_back({entry.counter.get(), nullptr});
   return *entry.counter;
 }
 
@@ -162,7 +161,6 @@ Gauge& MetricsRegistry::AddGauge(const std::string& name,
                                  const std::string& help, LabelSet labels) {
   Entry& entry = Register(name, help, std::move(labels), Type::kGauge);
   entry.gauge = std::make_unique<Gauge>();
-  scalars_.push_back({nullptr, entry.gauge.get()});
   return *entry.gauge;
 }
 
@@ -253,12 +251,15 @@ std::string MetricsRegistry::PrometheusText() const {
 
 std::size_t MetricsRegistry::AppendScalarValues(
     std::vector<double>& out) const {
-  for (const ScalarRef& ref : scalars_) {
-    out.push_back(ref.counter != nullptr
-                      ? static_cast<double>(ref.counter->Value())
-                      : ref.gauge->Value());
+  const std::size_t before = out.size();
+  for (const Entry& entry : entries_) {
+    if (entry.type == Type::kCounter) {
+      out.push_back(static_cast<double>(entry.counter->Value()));
+    } else if (entry.type == Type::kGauge) {
+      out.push_back(entry.gauge->Value());
+    }
   }
-  return scalars_.size();
+  return out.size() - before;
 }
 
 std::vector<std::string> MetricsRegistry::ScalarKeys() const {

@@ -182,13 +182,6 @@ class MetricsRegistry {
   void WriteJson(JsonWriter& out) const;
 
   std::vector<Entry> entries_;
-  /// The counters and gauges of entries_, in order: what a window close
-  /// snapshots, without walking the entries.
-  struct ScalarRef {
-    const Counter* counter;  // or null, for a gauge
-    const Gauge* gauge;
-  };
-  std::vector<ScalarRef> scalars_;
 };
 
 }  // namespace simmr::obs

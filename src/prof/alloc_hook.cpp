@@ -1,12 +1,12 @@
 // Global operator new/delete overrides that count heap allocations into
 // the profiler's kAllocations slot while it is armed.
 //
-// Built as an OBJECT library (prof_alloc_hook) and linked only into the
-// tools/ and bench/ binaries: a strong operator new in a static archive
-// would never be extracted (the symbol already resolves inside
-// libstdc++), so object-level linkage is the only reliable way in. Tests
-// deliberately do not link it — gtest's allocation churn is not a
-// simulator metric.
+// Built as an OBJECT library (prof_alloc_hook) and linked into the tools/
+// and bench/ binaries: a strong operator new in a static archive would
+// never be extracted (the symbol already resolves inside libstdc++), so
+// object-level linkage is the only reliable way in. Of the test binaries
+// only alloc_gate_test links it, and counts just the phases it arms the
+// profiler around; every other suite leaves gtest's allocations uncounted.
 //
 // Disabled under the sanitizers (they interpose the allocator themselves)
 // and under -DSIMMR_PROFILER=OFF.
