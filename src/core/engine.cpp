@@ -70,6 +70,8 @@ class EngineImpl {
       jobs_.push_back(std::make_unique<JobState>(
           static_cast<JobId>(i), tj.profile, tj.arrival, tj.deadline,
           tj.solo_completion));
+      jobs_.back()->reduce_gate_threshold =
+          jobs_.back()->ReduceGateThreshold(config_.min_map_percent_completed);
       kernel_.Schedule(tj.arrival, Event{EventType::kJobArrival,
                                          static_cast<JobId>(i), 0});
     }
@@ -139,10 +141,7 @@ class EngineImpl {
                          job.deadline());
     }
     // Zero-threshold gates (or jobs with no maps to gate on) open now.
-    if (job.maps_completed >=
-        job.ReduceGateThreshold(config_.min_map_percent_completed)) {
-      OpenReduceGate(job);
-    }
+    if (job.maps_completed >= job.reduce_gate_threshold) OpenReduceGate(job);
     policy_->OnJobArrival(job, now());
     kernel_.Schedule(now(), Event{EventType::kMapTaskArrival, job.id(), 0});
   }
@@ -170,10 +169,7 @@ class EngineImpl {
                              obs::TaskTiming{start, start, now()},
                              /*succeeded=*/true);
     }
-    if (job.maps_completed >=
-        job.ReduceGateThreshold(config_.min_map_percent_completed)) {
-      OpenReduceGate(job);
-    }
+    if (job.maps_completed >= job.reduce_gate_threshold) OpenReduceGate(job);
     if (job.MapsDone() && !job.map_stage_done_fired) {
       job.map_stage_done_fired = true;
       kernel_.Schedule(now(), Event{EventType::kMapStageDone, job.id(), 0});

@@ -66,6 +66,7 @@ class JobState {
   int maps_completed = 0;
   int reduces_launched = 0;
   int reduces_completed = 0;
+  int reduce_gate_threshold = 0;  // ReduceGateThreshold at the run's fraction
   bool reduce_gate_open = false;  // minMapPercentCompleted reached
   bool map_stage_done_fired = false;
 

@@ -94,6 +94,8 @@ const char* CounterName(Counter counter) {
       return "shuffle_flow_visits";
     case Counter::kSchedJobsVisited:
       return "sched_jobs_visited";
+    case Counter::kQueueEntryMoves:
+      return "queue_entry_moves";
     case Counter::kCount_:
       break;
   }

@@ -2,12 +2,12 @@
 //
 // The kernel work that open item 1 (the sharded 10M+ events/s engine)
 // wants to speed up has to be observable before it is optimizable: this
-// header gives the hot loops monotonic counters (events dispatched, heap
-// pushes/pops, allocations via the counting hook in alloc_hook.cpp),
-// high-water marks (event-queue depth, scheduler ready set), RAII scoped
-// timers per component, and ParallelFor per-thread busy time — all
-// aggregated process-wide and rendered as one "simmr.profile.v1" JSON
-// document (docs/FORMATS.md).
+// header gives the hot loops monotonic counters (events dispatched,
+// event-queue pushes/pops, allocations via the counting hook in
+// alloc_hook.cpp), high-water marks (event-queue depth, scheduler ready
+// set), RAII scoped timers per component, and ParallelFor per-thread busy
+// time — all aggregated process-wide and rendered as one
+// "simmr.profile.v1" JSON document (docs/FORMATS.md).
 //
 // Cost model. The profiler is disarmed by default; every hot hook is an
 // inline relaxed load of a constant-initialized atomic plus a predictable
@@ -35,8 +35,8 @@ namespace simmr::prof {
 /// array-indexed atomic add, no lookup.
 enum class Counter : int {
   kEventsDispatched = 0,  // SimKernel::DrainUntil pops
-  kHeapPushes,            // EventQueue::Push
-  kHeapPops,              // EventQueue::Pop
+  kHeapPushes,            // event-queue pushes (EventQueue::Push)
+  kHeapPops,              // event-queue pops (Pop, PopAmongEarliest)
   kAllocations,           // global operator new (alloc_hook.cpp)
   kExploreExecutions,     // model checker: schedules executed (mc/explorer)
   kExploreChoicePoints,   // model checker: tie points encountered
@@ -45,6 +45,8 @@ enum class Counter : int {
                           // NextEventTime (cluster/shuffle_model)
   kSchedJobsVisited,      // jobs a src/sched policy read to make its
                           // decisions (one add per decision)
+  kQueueEntryMoves,       // entries EventQueue refills moved between
+                          // buckets
   kCount_,
 };
 

@@ -38,6 +38,7 @@ CapacityPolicy::CapacityPolicy(int cluster_map_slots, int cluster_reduce_slots,
   }
   used_.resize(queues_.size());
   heads_.resize(queues_.size());
+  jobs_in_.resize(queues_.size());
 }
 
 void CapacityPolicy::OnJobArrival(const core::JobState& job, SimTime) {
@@ -54,11 +55,14 @@ void CapacityPolicy::OnJobArrival(const core::JobState& job, SimTime) {
   const auto id = static_cast<std::size_t>(job.id());
   if (queue_of_.size() <= id) queue_of_.resize(id + 1, kNoQueue);
   queue_of_[id] = index;
+  if (jobs_in_[index]++ == 0) ++queues_with_jobs_;
 }
 
 void CapacityPolicy::OnJobCompletion(const core::JobState& job, SimTime) {
-  const auto id = static_cast<std::size_t>(job.id());
-  if (id < queue_of_.size()) queue_of_[id] = kNoQueue;
+  const std::size_t q = QueueIndex(job.id());
+  if (q == kNoQueue) return;
+  queue_of_[static_cast<std::size_t>(job.id())] = kNoQueue;
+  if (--jobs_in_[q] == 0) --queues_with_jobs_;
 }
 
 std::size_t CapacityPolicy::QueueIndex(core::JobId job) const {
@@ -85,15 +89,18 @@ core::JobId CapacityPolicy::Choose(core::JobQueue job_queue,
     const std::size_t q = QueueIndex(job->id());
     if (q != kNoQueue) used_[q] += running(*job);
   }
-  // Each queue's FIFO head: its first ready job in queue order.
+  // Each queue's FIFO head: its first ready job in queue order. Only a
+  // queue holding jobs can have one, so the walk stops once each of those
+  // has its head.
   std::fill(heads_.begin(), heads_.end(), nullptr);
-  std::size_t headless = queues_.size();
+  std::size_t headless = queues_with_jobs_;
   for (const core::JobState* job : ready) {
+    if (headless == 0) break;
     ++visited;
     const std::size_t q = QueueIndex(job->id());
     if (q == kNoQueue || heads_[q] != nullptr) continue;
     heads_[q] = job;
-    if (--headless == 0) break;
+    --headless;
   }
   prof::Count(prof::Counter::kSchedJobsVisited, visited);
 

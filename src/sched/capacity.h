@@ -67,6 +67,8 @@ class CapacityPolicy final : public core::SchedulerPolicy {
   std::vector<QueueState> queues_;
   QueueClassifier classifier_;
   std::vector<std::size_t> queue_of_;  // by job id
+  std::vector<int> jobs_in_;           // arrived, unfinished jobs per queue
+  std::size_t queues_with_jobs_ = 0;   // queues with jobs_in_ > 0
   // Per-decision scratch, one entry per queue.
   std::vector<int> used_;
   std::vector<const core::JobState*> heads_;

@@ -104,9 +104,8 @@ class SimKernel {
   /// DrainUntil with oracle-controlled tie-breaking: whenever two or more
   /// events share the earliest pending time, `option(payload)` describes
   /// each alternative (insertion order) and the oracle picks which one
-  /// dispatches next. A null oracle is exactly DrainUntil. The non-tied
-  /// fast path is unchanged; ties pay an O(n) queue scan, which only the
-  /// model checker's small scenarios ever do.
+  /// dispatches next. A null oracle is exactly DrainUntil. Each step walks
+  /// only the tie group, which the queue keeps apart from the rest.
   template <typename TObs, typename StopFn, typename NameFn,
             typename OptionFn, typename DispatchFn>
   void DrainUntilOracle(StopFn&& stop, TObs* obs, NameFn&& name,

@@ -2,7 +2,7 @@
 //
 // Each gate runs one simulator on a workload N, 2N and 4N times over and
 // compares an exact profiler work count per dispatched event (or per
-// scheduler decision). The counts are exact, so a gate has no timing and
+// scheduler decision, or per event-queue push). The counts are exact, so a gate has no timing and
 // no host dependence. A bound is tightened, never loosened, as the paths
 // it covers get cheaper.
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "cluster/cluster_sim.h"
 #include "core/simmr.h"
 #include "prof/profiler.h"
+#include "sched/capacity.h"
+#include "sched/fifo.h"
 #include "trace/synthetic_tracegen.h"
 #include "trace/workload.h"
 
@@ -89,11 +91,18 @@ class DecisionCounter final : public core::SchedulerPolicy {
 constexpr int kMapSlots = 16;
 constexpr int kReduceSlots = 8;
 
-/// Jobs a policy visits per decision when it replays `jobs` jobs arriving
-/// every 5 s on average, with deadlines at 1.5x their solo time, on a
-/// 16+8-slot cluster: arrivals outpace the cluster, so the queue grows
-/// with the job count.
-double PolicyVisitsPerDecision(const std::string& policy, int jobs) {
+core::SimConfig GateConfig() {
+  core::SimConfig config;
+  config.map_slots = kMapSlots;
+  config.reduce_slots = kReduceSlots;
+  return config;
+}
+
+/// `jobs` jobs drawn from six synthetic profiles, arriving every
+/// `mean_interarrival_s` on average, with deadlines at 1.5x their solo
+/// time on a 16+8-slot cluster. At 5 s arrivals outpace the cluster, so
+/// the queue grows with the job count; at 1000 s each job runs alone.
+trace::WorkloadTrace SyntheticWorkload(int jobs, double mean_interarrival_s) {
   Rng rng(7);
   std::vector<trace::JobProfile> pool;
   for (int i = 0; i < 6; ++i) {
@@ -108,30 +117,37 @@ double PolicyVisitsPerDecision(const std::string& policy, int jobs) {
     spec.reduce_duration = std::make_shared<UniformDist>(2.0, 10.0);
     pool.push_back(trace::SynthesizeProfile(spec, rng));
   }
-  core::SimConfig config;
-  config.map_slots = kMapSlots;
-  config.reduce_slots = kReduceSlots;
-  const std::vector<double> solos = core::MeasureSoloCompletions(pool, config);
+  const std::vector<double> solos =
+      core::MeasureSoloCompletions(pool, GateConfig());
   trace::WorkloadParams params;
   params.num_jobs = jobs;
-  params.mean_interarrival_s = 5.0;
+  params.mean_interarrival_s = mean_interarrival_s;
   params.deadline_factor = 1.5;
-  const trace::WorkloadTrace workload =
-      trace::MakeWorkload(pool, solos, params, rng);
+  return trace::MakeWorkload(pool, solos, params, rng);
+}
 
-  const std::unique_ptr<core::SchedulerPolicy> inner =
-      backend::MakePolicy(policy, kMapSlots, kReduceSlots);
-  DecisionCounter counter(*inner);
+/// Jobs `inner` visits per decision when it replays `jobs` backlogged jobs
+/// (5 s mean inter-arrival).
+double PolicyVisitsPerDecision(core::SchedulerPolicy& inner, int jobs) {
+  const trace::WorkloadTrace workload = SyntheticWorkload(jobs, 5.0);
+  DecisionCounter counter(inner);
   Reset();
   Arm();
-  const core::SimResult result = core::Replay(workload, counter, config);
+  const core::SimResult result = core::Replay(workload, counter, GateConfig());
   Disarm();
   const std::uint64_t visits = Value(Counter::kSchedJobsVisited);
   Reset();
-  EXPECT_EQ(result.jobs.size(), workload.size()) << policy;
-  EXPECT_GT(counter.decisions(), 0u) << policy;
+  EXPECT_EQ(result.jobs.size(), workload.size()) << inner.Name();
+  EXPECT_GT(counter.decisions(), 0u) << inner.Name();
   return static_cast<double>(visits) /
          static_cast<double>(counter.decisions());
+}
+
+/// The same for the policy `backend::MakePolicy` builds under `policy`.
+double PolicyVisitsPerDecision(const std::string& policy, int jobs) {
+  const std::unique_ptr<core::SchedulerPolicy> inner =
+      backend::MakePolicy(policy, kMapSlots, kReduceSlots);
+  return PolicyVisitsPerDecision(*inner, jobs);
 }
 
 TEST(ScalingGate, PolicyJobsVisitedPerDecisionStayFlat) {
@@ -148,6 +164,62 @@ TEST(ScalingGate, PolicyJobsVisitedPerDecisionStayFlat) {
     EXPECT_LE(four_times, 1.25 * base)
         << policy << " visits per decision: 60 jobs " << base
         << ", 120 jobs " << twice << ", 240 jobs " << four_times;
+  }
+}
+
+TEST(ScalingGate, CapacityWithAnEmptyQueueVisitsStayFlat) {
+  if (!SIMMR_PROF_COMPILED) GTEST_SKIP() << "profiler compiled out";
+  // Every job lands in the second of two queues. A head walk that waits
+  // for the first queue's head, which never comes, visits the whole ready
+  // set on every decision.
+  const auto visits = [](int jobs) {
+    sched::CapacityPolicy policy(
+        kMapSlots, kReduceSlots, {{"idle", 0.5}, {"busy", 0.5}},
+        [](const core::JobState&) { return std::string("busy"); });
+    return PolicyVisitsPerDecision(policy, jobs);
+  };
+  const double base = visits(60);
+  const double twice = visits(120);
+  const double four_times = visits(240);
+  EXPECT_GT(base, 0.0);
+  EXPECT_LE(twice, 1.25 * base);
+  EXPECT_LE(four_times, 1.25 * base)
+      << "visits per decision: 60 jobs " << base << ", 120 jobs " << twice
+      << ", 240 jobs " << four_times;
+}
+
+/// Entries the event queue moves between buckets per push when FIFO
+/// replays `jobs` jobs arriving every `mean_interarrival_s` on average.
+double QueueMovesPerPush(int jobs, double mean_interarrival_s) {
+  const trace::WorkloadTrace workload =
+      SyntheticWorkload(jobs, mean_interarrival_s);
+  sched::FifoPolicy fifo;
+  Reset();
+  Arm();
+  const core::SimResult result = core::Replay(workload, fifo, GateConfig());
+  Disarm();
+  const std::uint64_t pushes = Value(Counter::kHeapPushes);
+  const std::uint64_t moves = Value(Counter::kQueueEntryMoves);
+  Reset();
+  EXPECT_EQ(pushes, result.events_processed);
+  EXPECT_GT(moves, 0u);
+  return static_cast<double>(moves) / static_cast<double>(pushes);
+}
+
+TEST(ScalingGate, QueueMovesPerPushStayFlat) {
+  if (!SIMMR_PROF_COMPILED) GTEST_SKIP() << "profiler compiled out";
+  // A radix queue moves each entry at most once per key bit it shares
+  // with the base, whatever the queue's length; a backlogged replay keeps
+  // hundreds of events pending, a paced one a few dozen.
+  for (const double interarrival : {5.0, 1000.0}) {
+    const double base = QueueMovesPerPush(60, interarrival);
+    const double twice = QueueMovesPerPush(120, interarrival);
+    const double four_times = QueueMovesPerPush(240, interarrival);
+    EXPECT_LE(twice, 1.25 * base) << interarrival;
+    EXPECT_LE(four_times, 1.25 * base)
+        << "mean inter-arrival " << interarrival << " s, moves per push: 60 "
+        << "jobs " << base << ", 120 jobs " << twice << ", 240 jobs "
+        << four_times;
   }
 }
 

@@ -6,6 +6,9 @@
 #include "core/simmr.h"
 #include "sched/capacity.h"
 #include "sched/fair.h"
+#include "sched/fifo.h"
+#include "trace/synthetic_tracegen.h"
+#include "trace/workload.h"
 
 namespace simmr::sched {
 namespace {
@@ -206,6 +209,48 @@ TEST(CapacityPolicyTest, WorksWithoutClassifier) {
   CapacityPolicy policy(8, 4, TwoQueues());  // no classifier: first queue
   const auto result = core::Replay(w, policy, cfg);
   EXPECT_GT(result.jobs[0].completion, 0.0);
+}
+
+TEST(CapacityPolicyTest, OneUsedQueueOfTwoSchedulesAsFifo) {
+  // Every job lands in the second queue, so the first never has a head:
+  // its guarantee goes unused and the busy queue's head, the first ready
+  // job, takes every slot, exactly as FIFO would give it.
+  Rng rng(11);
+  std::vector<trace::JobProfile> pool;
+  for (int i = 0; i < 4; ++i) {
+    trace::SyntheticJobSpec spec;
+    spec.app_name = "app" + std::to_string(i);
+    spec.num_maps = 6 + 10 * i;
+    spec.num_reduces = 1 + i;
+    spec.first_wave_size = 2;
+    spec.map_duration = std::make_shared<UniformDist>(5.0, 25.0);
+    spec.first_shuffle_duration = std::make_shared<UniformDist>(1.0, 4.0);
+    spec.typical_shuffle_duration = std::make_shared<UniformDist>(2.0, 8.0);
+    spec.reduce_duration = std::make_shared<UniformDist>(2.0, 10.0);
+    pool.push_back(trace::SynthesizeProfile(spec, rng));
+  }
+  trace::WorkloadParams params;
+  params.num_jobs = 80;
+  params.mean_interarrival_s = 5.0;  // a backlog: the queue holds many jobs
+  const trace::WorkloadTrace w = trace::MakeWorkload(
+      pool, std::vector<double>(pool.size(), 0.0), params, rng);
+  core::SimConfig cfg;
+  cfg.map_slots = 16;
+  cfg.reduce_slots = 8;
+  FifoPolicy fifo;
+  CapacityPolicy capacity(16, 8, TwoQueues(), [](const core::JobState&) {
+    return std::string("adhoc");
+  });
+  const auto want = core::Replay(w, fifo, cfg);
+  const auto got = core::Replay(w, capacity, cfg);
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
+    EXPECT_EQ(got.jobs[i].job, want.jobs[i].job);
+    EXPECT_EQ(got.jobs[i].first_launch, want.jobs[i].first_launch);
+    EXPECT_EQ(got.jobs[i].completion, want.jobs[i].completion);
+  }
+  EXPECT_EQ(got.events_processed, want.events_processed);
+  EXPECT_EQ(got.makespan, want.makespan);
 }
 
 }  // namespace
