@@ -1,8 +1,11 @@
 // Figure 6: simulation wall-clock time vs number of simulated jobs, SimMR
 // vs Mumak, on a 1148-job trace (the paper's 6 months of cluster history,
-// ~152 serial hours of work). Expected shape: both grow roughly linearly;
-// SimMR is >= 2 orders of magnitude faster at full scale (paper: 1.5 s vs
-// 680 s, >450x) because Mumak simulates every TaskTracker heartbeat.
+// ~152 serial hours of work). The paper measures 1.5 s against 680 s
+// (>450x) because Mumak simulates every TaskTracker heartbeat. What this
+// exhibit reproduces is that cause: Mumak processes many times more events
+// than SimMR, and both grow linearly in the job count. The wall-clock
+// ratio is far smaller here (about 10x), since this C++ Mumak pays much
+// less per event than the Java one; EXPERIMENTS.md, Figure 6.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -32,8 +35,10 @@ int main() {
   bench::PrintHeader(
       "Figure 6",
       "Wall-clock simulation time vs number of jobs (SimMR vs Mumak) on a\n"
-      "1148-job trace replayed back-to-back. Expect >= 2 orders of\n"
-      "magnitude between the simulators at full scale.");
+      "1148-job trace replayed back-to-back. Expect Mumak to process many\n"
+      "times more events (its heartbeats) and both to grow linearly; the\n"
+      "wall-clock speedup is about 10x here, against the paper's >450x\n"
+      "for Java Mumak (EXPERIMENTS.md, Figure 6).");
 
   // The paper's 6-month cluster history: 1148 jobs totalling ~152 serial
   // hours (~8 task-minutes per job on average), compacted back-to-back
@@ -124,6 +129,8 @@ int main() {
     if (jobs == kTotalJobs) break;
   }
   std::printf(
-      "\npaper reference: SimMR 1.5 s vs Mumak 680 s at 1148 jobs (>450x).\n");
+      "\npaper reference: SimMR 1.5 s vs Mumak 680 s at 1148 jobs (>450x).\n"
+      "reproduced here: the event-count gap and linear scaling in both; the\n"
+      "wall-clock ratio is not (EXPERIMENTS.md, Figure 6).\n");
   return 0;
 }

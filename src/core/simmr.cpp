@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "prof/profiler.h"
+
 namespace simmr::core {
 namespace {
 
@@ -34,26 +36,28 @@ SimResult Replay(const trace::WorkloadTrace& workload, SchedulerPolicy& policy,
   return engine.Run(workload);
 }
 
-std::vector<double> MeasureSoloCompletions(
-    const std::vector<trace::JobProfile>& profiles, const SimConfig& config) {
-  std::vector<double> completions;
-  completions.reserve(profiles.size());
+double MeasureSoloCompletion(const trace::JobProfile& profile,
+                             const SimConfig& config) {
   InternalFifo fifo;
   // Solo measurement is a derived quantity, not part of the observed run:
   // suppress any installed observer so sinks see only the real replay.
   SimConfig solo_config = config;
   solo_config.observer = nullptr;
-  // One workload for every profile: assigning the next profile reuses the
-  // previous one's buffers.
   trace::WorkloadTrace solo(1);
-  for (const auto& profile : profiles) {
-    solo[0].profile = profile;
-    solo[0].arrival = 0.0;
-    const SimResult result = Replay(solo, fifo, solo_config);
-    if (result.jobs.size() != 1)
-      throw std::logic_error("MeasureSoloCompletions: missing job result");
-    completions.push_back(result.jobs[0].CompletionTime());
-  }
+  solo[0].profile = profile;
+  const SimResult result = Replay(solo, fifo, solo_config);
+  if (result.jobs.size() != 1)
+    throw std::logic_error("MeasureSoloCompletion: missing job result");
+  prof::Count(prof::Counter::kSoloReplays);
+  return result.jobs[0].CompletionTime();
+}
+
+std::vector<double> MeasureSoloCompletions(
+    const std::vector<trace::JobProfile>& profiles, const SimConfig& config) {
+  std::vector<double> completions;
+  completions.reserve(profiles.size());
+  for (const auto& profile : profiles)
+    completions.push_back(MeasureSoloCompletion(profile, config));
   return completions;
 }
 

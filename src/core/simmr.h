@@ -18,9 +18,13 @@ namespace simmr::core {
 SimResult Replay(const trace::WorkloadTrace& workload, SchedulerPolicy& policy,
                  const SimConfig& config);
 
-/// T_J of Section V-B: each profile's completion time when it runs alone
-/// with the whole cluster. Replayed under FIFO with all slots; returns one
-/// duration per profile, aligned by index.
+/// T_J of Section V-B: the profile's completion time when it runs alone
+/// with the whole cluster, replayed under FIFO with all of `config`'s
+/// slots. The replay runs without `config`'s observer.
+double MeasureSoloCompletion(const trace::JobProfile& profile,
+                             const SimConfig& config);
+
+/// MeasureSoloCompletion of every profile, aligned by index.
 std::vector<double> MeasureSoloCompletions(
     const std::vector<trace::JobProfile>& profiles, const SimConfig& config);
 

@@ -1,13 +1,15 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "simcore/parse.h"
 
 namespace simmr::fault {
 namespace {
@@ -33,18 +35,16 @@ std::string ReadField(std::istream& in, const char* key) {
   return space == std::string::npos ? std::string() : line.substr(space + 1);
 }
 
-/// Reads header field `key` whose value must be one whole number: no sign
-/// on an unsigned T, no trailing characters, in T's range.
+/// Reads header field `key` whose value must be one whole number
+/// (ParseWhole).
 template <typename T>
 T ReadNumberField(std::istream& in, const char* key) {
   const std::string value = ReadField(in, key);
-  T number{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, number);
-  if (ec != std::errc() || ptr != end)
+  const std::optional<T> number = ParseWhole<T>(value);
+  if (!number)
     throw std::runtime_error(std::string("fault plan: bad ") + key + " '" +
                              value + "'");
-  return number;
+  return *number;
 }
 
 /// Asserts that the next token of `in` equals `word` (action-line syntax

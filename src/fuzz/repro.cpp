@@ -2,9 +2,12 @@
 
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "simcore/parse.h"
 
 namespace simmr::fuzz {
 namespace {
@@ -34,16 +37,21 @@ std::string ReadField(std::istream& in, const char* key) {
   return space == std::string::npos ? std::string() : line.substr(space + 1);
 }
 
-double ParseDouble(const std::string& s, const char* key) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("reproducer: bad number for ") +
-                             key + ": '" + s + "'");
-  }
+/// ParseWhole, as the embedded profiles are read, throwing on a token it
+/// rejects.
+template <typename T>
+T ParseNumber(std::string_view token, const char* key) {
+  const std::optional<T> value = ParseWhole<T>(token);
+  if (!value)
+    throw std::runtime_error(std::string("reproducer: bad ") + key + " '" +
+                             std::string(token) + "'");
+  return *value;
+}
+
+/// ReadField, then ParseNumber of its value.
+template <typename T>
+T ReadNumber(std::istream& in, const char* key) {
+  return ParseNumber<T>(ReadField(in, key), key);
 }
 
 }  // namespace
@@ -80,34 +88,48 @@ Reproducer ReadReproducer(std::istream& in) {
   if (!std::getline(in, line) || line != kMagic)
     throw std::runtime_error("reproducer: bad or missing version line");
   Reproducer repro;
-  repro.master_seed = std::stoull(ReadField(in, "master_seed"));
+  repro.master_seed = ReadNumber<std::uint64_t>(in, "master_seed");
   {
-    std::istringstream fs(ReadField(in, "fault"));
-    std::string mode;
-    if (!(fs >> mode >> repro.fault.trigger))
-      throw std::runtime_error("reproducer: malformed fault line");
-    repro.fault.mode = ParseFaultMode(mode);
+    // Exactly "<mode> <trigger>".
+    const std::string fault = ReadField(in, "fault");
+    const std::size_t space = fault.find(' ');
+    if (space == std::string::npos)
+      throw std::runtime_error("reproducer: bad fault '" + fault +
+                               "': expected '<mode> <trigger>'");
+    repro.fault.mode = ParseFaultMode(fault.substr(0, space));
+    repro.fault.trigger = ParseNumber<std::uint64_t>(
+        std::string_view(fault).substr(space + 1), "fault trigger");
   }
   repro.spec.policy = ReadField(in, "policy");
-  repro.spec.map_slots = std::stoi(ReadField(in, "map_slots"));
-  repro.spec.reduce_slots = std::stoi(ReadField(in, "reduce_slots"));
-  repro.spec.slowstart = ParseDouble(ReadField(in, "slowstart"), "slowstart");
-  repro.spec.record_tasks = ReadField(in, "record_tasks") != "0";
-  repro.spec.num_jobs = std::stoi(ReadField(in, "num_jobs"));
+  repro.spec.map_slots = ReadNumber<int>(in, "map_slots");
+  repro.spec.reduce_slots = ReadNumber<int>(in, "reduce_slots");
+  repro.spec.slowstart = ReadNumber<double>(in, "slowstart");
+  {
+    const std::string record_tasks = ReadField(in, "record_tasks");
+    if (record_tasks != "0" && record_tasks != "1")
+      throw std::runtime_error("reproducer: bad record_tasks '" +
+                               record_tasks + "': expected 0 or 1");
+    repro.spec.record_tasks = record_tasks == "1";
+  }
+  repro.spec.num_jobs = ReadNumber<int>(in, "num_jobs");
   repro.spec.mean_interarrival_s =
-      ParseDouble(ReadField(in, "mean_interarrival_s"), "mean_interarrival_s");
-  repro.spec.arrival_scale =
-      ParseDouble(ReadField(in, "arrival_scale"), "arrival_scale");
-  repro.spec.deadline_factor =
-      ParseDouble(ReadField(in, "deadline_factor"), "deadline_factor");
-  repro.spec.seed = std::stoull(ReadField(in, "engine_seed"));
+      ReadNumber<double>(in, "mean_interarrival_s");
+  repro.spec.arrival_scale = ReadNumber<double>(in, "arrival_scale");
+  repro.spec.deadline_factor = ReadNumber<double>(in, "deadline_factor");
+  repro.spec.seed = ReadNumber<std::uint64_t>(in, "engine_seed");
   repro.note = ReadField(in, "note");
-  const int num_jobs = std::stoi(ReadField(in, "jobs"));
-  if (num_jobs < 0)
-    throw std::runtime_error("reproducer: negative job count");
-  repro.pool.reserve(static_cast<std::size_t>(num_jobs));
-  for (int i = 0; i < num_jobs; ++i)
-    repro.pool.push_back(trace::JobProfile::Read(in));
+  // The declared count is not trusted with an allocation: the pool grows
+  // one parsed profile at a time.
+  const std::uint32_t num_jobs = ReadNumber<std::uint32_t>(in, "jobs");
+  for (std::uint32_t i = 0; i < num_jobs; ++i) {
+    try {
+      repro.pool.push_back(trace::JobProfile::Read(in));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("reproducer: profile " + std::to_string(i) +
+                               " of " + std::to_string(num_jobs) + ": " +
+                               e.what());
+    }
+  }
   // Optional trailer: an embedded fault plan (fault-archetype cases).
   // Peek non-destructively — containers like the explore-reproducer
   // format append their own trailer fields after this block, and they

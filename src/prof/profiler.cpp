@@ -96,6 +96,10 @@ const char* CounterName(Counter counter) {
       return "sched_jobs_visited";
     case Counter::kQueueEntryMoves:
       return "queue_entry_moves";
+    case Counter::kProfilesParsed:
+      return "profiles_parsed";
+    case Counter::kSoloReplays:
+      return "solo_replays";
     case Counter::kCount_:
       break;
   }

@@ -47,6 +47,9 @@ enum class Counter : int {
                           // decisions (one add per decision)
   kQueueEntryMoves,       // entries EventQueue refills moved between
                           // buckets
+  kProfilesParsed,        // trace-database profile files read and
+                          // validated (TraceDatabase::ReadProfile)
+  kSoloReplays,           // one-job T_J replays (core::MeasureSoloCompletion)
   kCount_,
 };
 

@@ -1,13 +1,13 @@
 #include "trace/job_profile.h"
 
-#include <charconv>
 #include <cmath>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
-#include <system_error>
-#include <type_traits>
+
+#include "simcore/parse.h"
 
 namespace simmr::trace {
 namespace {
@@ -61,20 +61,14 @@ class Tokens {
   std::string_view rest_;
 };
 
-/// Parses a whole token as a number. Rejects trailing characters
-/// ("263abc"), a leading '+', out-of-range and non-finite values, and a
-/// '-' on an unsigned T.
+/// ParseWhole, throwing on a token it rejects.
 template <typename T>
 T ParseNumber(std::string_view token, const char* what) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok)
+  const std::optional<T> value = ParseWhole<T>(token);
+  if (!value)
     throw std::runtime_error(std::string("JobProfile: bad ") + what + " '" +
                              std::string(token) + "'");
-  return value;
+  return *value;
 }
 
 /// Throws unless nothing but whitespace is left on the line.

@@ -4,6 +4,8 @@
 // efficient lookup and storage) using a job template." This implementation
 // keeps profiles in memory behind integer ids with an app-name index, and
 // persists to a directory: an index file plus one profile file per job.
+// ReadIndex and ReadProfile are Load's two halves; a reader that needs only
+// some profiles (backend::SimSession) reads the index and then just those.
 #pragma once
 
 #include <optional>
@@ -40,11 +42,30 @@ class TraceDatabase {
   /// contents of a previous Save.
   void Save(const std::string& directory) const;
 
-  /// Loads a database previously written by Save. Throws std::runtime_error
-  /// on missing/corrupt files.
+  /// Loads a database previously written by Save: ReadIndex, then
+  /// ReadProfile for every entry. Throws std::runtime_error on missing or
+  /// corrupt files, std::invalid_argument on a profile that fails
+  /// Validate().
   static TraceDatabase Load(const std::string& directory);
 
+  /// Reads `<directory>/index.tsv` and returns its profile file names in
+  /// id order. The file must hold the header `id\tapp\tdataset\tfile`,
+  /// then one line of four tab-separated fields per profile whose id is
+  /// the line's ordinal (0 on the line after the header) and whose file is
+  /// a plain name inside the directory. Throws std::runtime_error naming
+  /// `<directory>/index.tsv:<line>`.
+  static std::vector<std::string> ReadIndex(const std::string& directory);
+
+  /// Reads and validates `<directory>/<file>`, one profile file of the
+  /// index. Errors name the file: std::runtime_error when it is missing or
+  /// malformed, std::invalid_argument when the profile fails Validate().
+  static JobProfile ReadProfile(const std::string& directory,
+                                const std::string& file);
+
  private:
+  /// Put without the validation, for profiles ReadProfile validated.
+  ProfileId Insert(JobProfile profile);
+
   std::vector<JobProfile> profiles_;
   std::unordered_map<std::string, std::vector<ProfileId>> by_app_;
 };

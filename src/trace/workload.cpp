@@ -10,10 +10,17 @@ namespace simmr::trace {
 WorkloadTrace MakeWorkload(const std::vector<JobProfile>& pool,
                            const std::vector<double>& solo_completions,
                            const WorkloadParams& params, Rng& rng) {
-  if (pool.empty()) throw std::invalid_argument("MakeWorkload: empty pool");
   if (pool.size() != solo_completions.size())
     throw std::invalid_argument(
         "MakeWorkload: pool/solo_completions size mismatch");
+  const std::vector<std::size_t> order =
+      DrawJobOrder(pool.size(), params, rng);
+  return AssembleWorkload(pool, solo_completions, order, params, rng);
+}
+
+std::vector<std::size_t> DrawJobOrder(std::size_t pool_size,
+                                      const WorkloadParams& params, Rng& rng) {
+  if (pool_size == 0) throw std::invalid_argument("MakeWorkload: empty pool");
   if (params.deadline_factor != 0.0 && params.deadline_factor < 1.0)
     throw std::invalid_argument("MakeWorkload: deadline_factor must be >= 1");
   if (params.mean_interarrival_s < 0.0)
@@ -23,9 +30,9 @@ WorkloadTrace MakeWorkload(const std::vector<JobProfile>& pool,
   std::vector<std::size_t> order;
   const std::size_t n = params.num_jobs > 0
                             ? static_cast<std::size_t>(params.num_jobs)
-                            : pool.size();
-  if (n <= pool.size()) {
-    order.resize(pool.size());
+                            : pool_size;
+  if (n <= pool_size) {
+    order.resize(pool_size);
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     if (params.permute) {
       // Fisher-Yates with our deterministic generator.
@@ -38,9 +45,18 @@ WorkloadTrace MakeWorkload(const std::vector<JobProfile>& pool,
   } else {
     order.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-      order.push_back(rng.NextBounded(pool.size()));
+      order.push_back(rng.NextBounded(pool_size));
   }
+  return order;
+}
 
+WorkloadTrace AssembleWorkload(const std::vector<JobProfile>& pool,
+                               std::span<const double> solo_completions,
+                               const std::vector<std::size_t>& order,
+                               const WorkloadParams& params, Rng& rng) {
+  if (!solo_completions.empty() && solo_completions.size() != pool.size())
+    throw std::invalid_argument(
+        "AssembleWorkload: pool/solo_completions size mismatch");
   const ExponentialDist gap(
       params.mean_interarrival_s > 0.0 ? 1.0 / params.mean_interarrival_s
                                        : 1e12);
@@ -54,7 +70,8 @@ WorkloadTrace MakeWorkload(const std::vector<JobProfile>& pool,
     TraceJob job;
     job.profile = pool[order[k]];
     job.arrival = arrival;
-    job.solo_completion = solo_completions[order[k]];
+    if (!solo_completions.empty())
+      job.solo_completion = solo_completions[order[k]];
     if (params.deadline_factor >= 1.0 && job.solo_completion > 0.0) {
       const double relative =
           rng.NextDouble(job.solo_completion,

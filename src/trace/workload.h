@@ -8,6 +8,8 @@
 // factor."
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,5 +48,22 @@ struct WorkloadParams {
 WorkloadTrace MakeWorkload(const std::vector<JobProfile>& pool,
                            const std::vector<double>& solo_completions,
                            const WorkloadParams& params, Rng& rng);
+
+/// MakeWorkload's first draws: which pool entries run, in which order. It
+/// reads only the pool size, so a caller can fill just these entries of a
+/// lazily read pool before AssembleWorkload. Throws as MakeWorkload does
+/// on an empty pool or bad params.
+std::vector<std::size_t> DrawJobOrder(std::size_t pool_size,
+                                      const WorkloadParams& params, Rng& rng);
+
+/// The rest of MakeWorkload: the trace of `order`'s pool entries, with
+/// arrivals and deadlines drawn from `rng` after DrawJobOrder's draws.
+/// Only the entries `order` names are read. `solo_completions` is aligned
+/// with `pool`, or empty when T_J is unknown (every job then carries 0
+/// and no deadline). Throws std::invalid_argument on any other size.
+WorkloadTrace AssembleWorkload(const std::vector<JobProfile>& pool,
+                               std::span<const double> solo_completions,
+                               const std::vector<std::size_t>& order,
+                               const WorkloadParams& params, Rng& rng);
 
 }  // namespace simmr::trace

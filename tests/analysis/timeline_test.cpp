@@ -13,8 +13,14 @@
 namespace simmr::analysis {
 namespace {
 
+/// Writes `content` to a temp file named after the running test and
+/// `name`: ctest runs each test as its own process, often in parallel, so
+/// two tests must never share a path.
 std::string WriteTemp(const std::string& name, const std::string& content) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path =
+      testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      name;
   std::ofstream out(path);
   out << content;
   return path;

@@ -122,6 +122,73 @@ TEST(Reproducer, RejectsMisorderedFields) {
   EXPECT_THROW(ReadReproducer(in), std::runtime_error);
 }
 
+/// The error ReadReproducer raises after replacing, in the sample's text,
+/// the line that starts with `key` by `line` ("" when it reads).
+std::string ErrorWithLine(const std::string& key, const std::string& line) {
+  std::ostringstream out;
+  WriteReproducer(out, SampleReproducer());
+  std::string text = out.str();
+  const std::size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t end = text.find('\n', at + 1);
+  text.replace(at + 1, end - at - 1, line);
+  std::istringstream in(text);
+  try {
+    ReadReproducer(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void ExpectRejected(const std::string& key, const std::string& line,
+                    const std::string& what) {
+  const std::string error = ErrorWithLine(key, line);
+  EXPECT_NE(error.find(what), std::string::npos)
+      << line << " -> " << (error.empty() ? "read" : error);
+}
+
+TEST(Reproducer, NumbersAreWholeTokens) {
+  ExpectRejected("map_slots", "map_slots 62abc", "bad map_slots '62abc'");
+  ExpectRejected("reduce_slots", "reduce_slots  5", "bad reduce_slots ' 5'");
+  ExpectRejected("num_jobs", "num_jobs +4", "bad num_jobs '+4'");
+  ExpectRejected("num_jobs", "num_jobs 99999999999", "bad num_jobs");
+  ExpectRejected("master_seed", "master_seed -1", "bad master_seed '-1'");
+  ExpectRejected("engine_seed", "engine_seed 0x12", "bad engine_seed '0x12'");
+  ExpectRejected("slowstart", "slowstart 0.05x", "bad slowstart '0.05x'");
+  ExpectRejected("arrival_scale", "arrival_scale inf",
+                 "bad arrival_scale 'inf'");
+  ExpectRejected("deadline_factor", "deadline_factor ",
+                 "bad deadline_factor ''");
+  ExpectRejected("jobs", "jobs 1 7", "bad jobs '1 7'");
+  ExpectRejected("jobs", "jobs -1", "bad jobs '-1'");
+  // The untouched sample reads.
+  EXPECT_EQ(ErrorWithLine("map_slots", "map_slots 13"), "");
+}
+
+TEST(Reproducer, RecordTasksIsZeroOrOne) {
+  ExpectRejected("record_tasks", "record_tasks 2", "bad record_tasks '2'");
+  ExpectRejected("record_tasks", "record_tasks yes", "bad record_tasks");
+  ExpectRejected("record_tasks", "record_tasks", "bad record_tasks ''");
+  EXPECT_EQ(ErrorWithLine("record_tasks", "record_tasks 0"), "");
+}
+
+TEST(Reproducer, FaultLineIsModeAndTriggerOnly) {
+  ExpectRejected("fault", "fault drop-completion 7 9",
+                 "bad fault trigger '7 9'");
+  ExpectRejected("fault", "fault drop-completion", "bad fault");
+  ExpectRejected("fault", "fault drop-completion x", "bad fault trigger 'x'");
+  EXPECT_EQ(ErrorWithLine("fault", "fault clock-skew 3"), "");
+}
+
+TEST(Reproducer, DeclaredJobCountIsNotTrusted) {
+  // A huge declared count with no profiles behind it fails on the first
+  // missing profile, naming it, instead of reserving for the count.
+  const std::string error = ErrorWithLine("jobs", "jobs 4000000000");
+  EXPECT_NE(error.find("profile 1 of 4000000000"), std::string::npos)
+      << error;
+}
+
 TEST(Reproducer, FileRoundTripAndMissingFile) {
   const std::string path =
       testing::TempDir() + "/repro_test_case.repro";

@@ -164,6 +164,136 @@ TEST_F(TraceDatabaseTest, LoadErrorNamesTheProfileFile) {
   }
 }
 
+// ------------------------------------------------------------- index.tsv
+
+/// Saves two profiles, replaces index.tsv with `index`, and returns the
+/// error Load raises ("" when it loads).
+std::string IndexError(const fs::path& dir, const std::string& index) {
+  TraceDatabase db;
+  db.Put(Profile("A", "1"));
+  db.Put(Profile("B", "2"));
+  db.Save(dir.string());
+  std::ofstream(dir / "index.tsv") << index;
+  try {
+    TraceDatabase::Load(dir.string());
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kHeader = "id\tapp\tdataset\tfile\n";
+
+/// Expects `index` rejected at `line` of `dir`/index.tsv, saying `what`.
+void ExpectIndexRejected(const fs::path& dir, const std::string& index,
+                         int line, const std::string& what) {
+  const std::string error = IndexError(dir, index);
+  const std::string where =
+      (dir / "index.tsv").string() + ":" + std::to_string(line) + ": ";
+  EXPECT_NE(error.find(where), std::string::npos)
+      << (error.empty() ? "loaded" : error) << " lacks " << where;
+  EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+TEST_F(TraceDatabaseTest, IndexWithoutTheHeaderIsRejected) {
+  // A reader that skips the first line unread drops the first profile.
+  ExpectIndexRejected(dir_,
+                      "0\tA\t1\tprofile_0.trace\n1\tB\t2\tprofile_1.trace\n",
+                      1, "expected the header");
+  ExpectIndexRejected(dir_, "id\tapp\tfile\n0\tA\t1\tprofile_0.trace\n", 1,
+                      "expected the header");
+  ExpectIndexRejected(dir_, "", 1, "expected the header");
+}
+
+TEST_F(TraceDatabaseTest, IndexLinesHoldExactlyFourFields) {
+  ExpectIndexRejected(dir_, std::string(kHeader) + "0\tA\tprofile_0.trace\n",
+                      2, "expected 4 tab-separated fields, got 3");
+  ExpectIndexRejected(dir_,
+                      std::string(kHeader) +
+                          "0\tA\t1\tprofile_0.trace\n"
+                          "1\tB\t2\tprofile_1.trace\textra\n",
+                      3, "expected 4 tab-separated fields, got 5");
+  ExpectIndexRejected(dir_,
+                      std::string(kHeader) + "0\tA\t1\tprofile_0.trace\n\n",
+                      3, "expected 4 tab-separated fields, got 1");
+}
+
+TEST_F(TraceDatabaseTest, IndexIdsAreTheLineOrdinals) {
+  // Ids are dense and ordered (docs/FORMATS.md); the column is checked.
+  ExpectIndexRejected(dir_,
+                      std::string(kHeader) + "0\tA\t1\tprofile_0.trace\n"
+                                             "5\tB\t2\tprofile_1.trace\n",
+                      3, "expected id 1, got '5'");
+  ExpectIndexRejected(dir_,
+                      std::string(kHeader) + "00\tA\t1\tprofile_0.trace\n",
+                      2, "expected id 0, got '00'");
+  ExpectIndexRejected(dir_,
+                      std::string(kHeader) + "x\tA\t1\tprofile_0.trace\n",
+                      2, "expected id 0, got 'x'");
+}
+
+TEST_F(TraceDatabaseTest, IndexFilesArePlainNamesInTheDirectory) {
+  // "../x" or an absolute path would read a file outside the database.
+  const fs::path outside = dir_.parent_path() /
+                           (dir_.filename().string() + "_outside.trace");
+  {
+    TraceDatabase db;
+    db.Put(Profile("A", "1"));
+    db.Save(dir_.string());
+    fs::copy_file(dir_ / "profile_0.trace", outside,
+                  fs::copy_options::overwrite_existing);
+  }
+  for (const std::string& file :
+       {"../" + outside.filename().string(), outside.string(),
+       std::string("sub/profile_0.trace"), std::string("."),
+       std::string(".."), std::string()}) {
+    ExpectIndexRejected(dir_, std::string(kHeader) + "0\tA\t1\t" + file + "\n",
+                        2, "is not a plain file name");
+  }
+  fs::remove(outside);
+}
+
+TEST_F(TraceDatabaseTest, IndexErrorsNameTheIndexAndMissingFiles) {
+  EXPECT_EQ(IndexError(dir_, std::string(kHeader) +
+                                 "0\tA\t1\tprofile_0.trace\n"
+                                 "1\tB\t2\tprofile_1.trace\n"),
+            "");
+  fs::remove(dir_ / "index.tsv");
+  try {
+    TraceDatabase::Load(dir_.string());
+    FAIL() << "a database without an index loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find((dir_ / "index.tsv").string()),
+              std::string::npos)
+        << e.what();
+  }
+  std::ofstream(dir_ / "index.tsv")
+      << kHeader << "0\tA\t1\tprofile_7.trace\n";
+  try {
+    TraceDatabase::Load(dir_.string());
+    FAIL() << "an index naming a missing file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find((dir_ / "profile_7.trace").string()),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(TraceDatabaseTest, SavedNamesWithEmptyFieldsLoad) {
+  // Save writes empty app and dataset columns as empty fields; the index
+  // reader keeps them as fields.
+  TraceDatabase db;
+  db.Put(Profile("", ""));
+  db.Put(Profile("Sort", ""));
+  db.Save(dir_.string());
+  const TraceDatabase loaded = TraceDatabase::Load(dir_.string());
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.Get(0), db.Get(0));
+  EXPECT_EQ(loaded.Get(1), db.Get(1));
+  EXPECT_EQ(TraceDatabase::ReadIndex(dir_.string()),
+            (std::vector<std::string>{"profile_0.trace", "profile_1.trace"}));
+}
+
 TEST_F(TraceDatabaseTest, EmptyDatabaseRoundTrips) {
   TraceDatabase db;
   db.Save(dir_.string());

@@ -64,10 +64,12 @@ int main(int argc, char** argv) {
     }
 
     // Resolve the policy up front: its display name labels the report, and
-    // an unknown --policy fails before the solo-completion measurement.
+    // an unknown --policy fails before the database is opened.
     const auto policy =
         backend::MakePolicy(spec.policy, spec.map_slots, spec.reduce_slots);
 
+    // Reads only the index here. The replay reads the profiles it samples,
+    // and measures their solo completions (T_J) only under a deadline.
     core::SimConfig solo_cfg;
     solo_cfg.map_slots = spec.map_slots;
     solo_cfg.reduce_slots = spec.reduce_slots;

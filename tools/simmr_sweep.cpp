@@ -240,8 +240,10 @@ int main(int argc, char** argv) {
       arrival_scales.push_back(scale);
     }
 
-    // Solo completion times (T_J) are measured once on the first slot
-    // configuration; deadlines scale with T_J per Section V-B either way.
+    // Solo completion times (T_J) are measured on the first slot
+    // configuration, once per profile, by the first session that samples
+    // the profile under a deadline; deadlines scale with T_J per Section
+    // V-B either way. The shared session reads each profile file once.
     core::SimConfig solo_cfg;
     solo_cfg.map_slots = slot_configs.front().first;
     solo_cfg.reduce_slots = slot_configs.front().second;
